@@ -3,7 +3,7 @@
 Every command writes a single JSON document to stdout:
 {"ok": true, "result": ...} on success, {"ok": false, "reason": ...} on
 failure.  Exit codes: 0 success, 1 domain error, 2 parse error (expression
-syntax or bad flags).
+syntax, bad flags, or a non-integer LEAVITT_CHAR or config value).
 """
 
 from __future__ import annotations
@@ -30,6 +30,31 @@ ENV_CHAR = "LEAVITT_CHAR"
 _DEFAULTS = {"n": 2, "d": 1, "char": 0, "mode": "leavitt"}
 
 
+class _UsageError(Exception):
+    """Bad flags or settings: a usage error, an ill-formed integer setting."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    # argparse reports usage errors through error(); raising keeps them on
+    # the JSON path in main.  Subparsers are built from this class too.
+    def error(self, message):
+        raise _UsageError(message)
+
+
+class _Refuse(argparse.Action):
+    """Rejects a flag that the command takes no value from."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"argument {option_string}: not accepted by this command")
+
+
+def _int_setting(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise _UsageError(f"{where} must be an integer, got {text!r}") from None
+
+
 def _read_config_file(path: str) -> Dict[str, str]:
     values: Dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -52,13 +77,13 @@ def _resolve_config(args: argparse.Namespace) -> SessionConfig:
     merged = dict(_DEFAULTS)
     env_char = os.environ.get(ENV_CHAR)
     if env_char is not None:
-        merged["char"] = int(env_char)
+        merged["char"] = _int_setting(env_char, ENV_CHAR)
     config_path = getattr(args, "config", None)
     if config_path:
         file_values = _read_config_file(config_path)
         for key in ("n", "d", "char"):
             if key in file_values:
-                merged[key] = int(file_values[key])
+                merged[key] = _int_setting(file_values[key], f"{config_path}: {key}")
         if "mode" in file_values:
             merged["mode"] = file_values["mode"]
     for key in ("n", "d", "char", "mode"):
@@ -159,11 +184,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="evaluation algebra (default leavitt)",
     )
     sub.add_argument("--config", default=None, help="key=value config file")
+    _add_pretty(sub)
+
+
+def _add_pretty(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pretty", action="store_true", help="indent the JSON output")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _ArgumentParser(
         prog="leavitt",
         description="Exact calculator for Cohn/Leavitt algebras and the "
         "simplicity of their matrix Lie algebras.",
@@ -206,7 +235,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-range", required=True, help="inclusive range lo:hi or a single value")
     p.add_argument("--witnesses", action="store_true", help="also build and verify witnesses for non-simple rows")
     p.add_argument("--probe", action="store_true", help="also run the nontriviality probe per row")
-    _add_common(p)
+    # grid sweeps its own ranges.  The session flags are refused by name, as
+    # argparse would otherwise read --n, --d and --char as abbreviations of
+    # --n-range, --d-range and --chars.
+    for flag in ("--n", "--d", "--char", "--mode", "--config"):
+        p.add_argument(flag, action=_Refuse, help=argparse.SUPPRESS)
+    _add_pretty(p)
     p.set_defaults(handler=_cmd_grid)
 
     return root
@@ -220,12 +254,12 @@ def _emit(doc: Dict, pretty: bool) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
-    pretty = getattr(args, "pretty", False)
+    pretty = False
     try:
+        args = build_arg_parser().parse_args(argv)
+        pretty = args.pretty
         result = args.handler(args)
-    except (ParseError, json.JSONDecodeError) as exc:
+    except (_UsageError, ParseError, json.JSONDecodeError) as exc:
         _emit({"ok": False, "reason": str(exc)}, pretty)
         return 2
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:

@@ -18,11 +18,16 @@ __all__ = [
     "parse_scalar",
 ]
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# Miller-Rabin with the witnesses above decides primality exactly below this
+# bound (Sorenson and Webster, Math. Comp. 86, 2017); without 41 it fails at
+# 318665857834031151167461 = 399165290221 * 798330580441.
+MAX_CHARACTERISTIC = 3317044064679887385961981
 
 
 def _is_prime(m: int) -> bool:
-    # Deterministic Miller-Rabin; this witness set is exact for m < 3.3e24.
+    # Deterministic for m < MAX_CHARACTERISTIC.
     if m < 2:
         return False
     for p in _MR_WITNESSES:
@@ -57,6 +62,11 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if c >= MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic must be below {MAX_CHARACTERISTIC}, the limit of "
+                f"the exact primality test, got {c}"
+            )
         if c < 0 or (c != 0 and not _is_prime(c)):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
 

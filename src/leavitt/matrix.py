@@ -8,92 +8,140 @@ matrix code serves the plain algebra and its quotient.
 from __future__ import annotations
 
 import json
-from typing import List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar
-from .cohn import parse_element
-from .leavitt import normal_form
+from .cohn import CohnElement, parse_element
+from .leavitt import LeavittElement, normal_form
 
 __all__ = ["MatrixElement", "unit", "identity_matrix", "matrix_from_strings"]
 
+def _absorb(out: Dict, pos: Tuple[int, int], value) -> None:
+    """Add value into out[pos], keeping the map free of zeros."""
+    prev = out.get(pos)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        out.pop(pos, None)
+    else:
+        out[pos] = value
+
+
+def _square_size(rows: Sequence[Sequence]) -> int:
+    d = len(rows)
+    if d < 1 or any(len(r) != d for r in rows):
+        raise ValueError("entries must form a non-empty square array")
+    return d
+
 
 class MatrixElement:
-    """A d x d matrix with entries in one algebra, stored densely."""
+    """A d x d matrix with entries in one algebra, stored sparsely.
 
-    __slots__ = ("d", "entries")
+    `entries` maps 0-based positions (i, j) to the nonzero entries; every
+    position it does not hold is zero, so equal matrices have equal maps.
+    The algebra's zero element is kept alongside, so that even a matrix with
+    no stored entry knows its field, alphabet and entry algebra.
+    """
+
+    __slots__ = ("d", "entries", "_zero")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(r) for r in entries)
-        d = len(rows)
-        if d < 1 or any(len(r) != d for r in rows):
-            raise ValueError("entries must form a non-empty square array")
+        d = _square_size(rows)
         first = rows[0][0]
-        for r in rows:
-            for e in r:
-                if e.spec != first.spec or e.n != first.n:
-                    raise ValueError("entries must share one field and alphabet")
+        kind, spec, n = type(first), first.spec, first.n
+        stored = {}
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                if type(e) is not kind or e.spec != spec or e.n != n:
+                    raise ValueError("entries must share one algebra, field and alphabet")
+                if not e.is_zero():
+                    stored[(i, j)] = e
         self.d = d
-        self.entries = rows
+        self.entries = stored
+        self._zero = first.zero_like()
+
+    @classmethod
+    def _from_map(cls, zero, d: int, entries: Dict) -> "MatrixElement":
+        """Trusted constructor: entries share zero's algebra and none is zero."""
+        m = cls.__new__(cls)
+        m.d = d
+        m.entries = entries
+        m._zero = zero
+        return m
+
+    @classmethod
+    def zero(cls, element, d: int) -> "MatrixElement":
+        """The d x d zero matrix over the algebra of the given element."""
+        if d < 1:
+            raise ValueError(f"matrix dimension must be at least 1, got {d}")
+        return cls._from_map(element.zero_like(), d, {})
 
     @property
     def spec(self) -> FieldSpec:
-        return self.entries[0][0].spec
+        return self._zero.spec
 
     @property
     def n(self) -> int:
-        return self.entries[0][0].n
+        return self._zero.n
+
+    def entry(self, i: int, j: int):
+        """The entry at 0-based position (i, j), the zero element if none is stored."""
+        if not (0 <= i < self.d and 0 <= j < self.d):
+            raise IndexError(f"position ({i}, {j}) outside a {self.d} x {self.d} matrix")
+        return self.entries.get((i, j), self._zero)
 
     def _check(self, other: "MatrixElement") -> None:
         if not isinstance(other, MatrixElement):
             raise TypeError(f"expected MatrixElement, got {type(other).__name__}")
         if other.d != self.d:
             raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
-        if other.spec != self.spec or other.n != self.n:
-            raise ValueError("mismatched field or alphabet")
+        if other._zero != self._zero:
+            raise ValueError("mismatched field, alphabet or entry algebra")
+
+    def _like(self, entries: Dict) -> "MatrixElement":
+        return MatrixElement._from_map(self._zero, self.d, entries)
+
+    def _map(self, op) -> "MatrixElement":
+        out = {}
+        for pos, e in self.entries.items():
+            v = op(e)
+            if not v.is_zero():
+                out[pos] = v
+        return self._like(out)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return not self.entries
 
     def __add__(self, other: "MatrixElement") -> "MatrixElement":
         self._check(other)
-        return MatrixElement(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
+        out = dict(self.entries)
+        for pos, b in other.entries.items():
+            _absorb(out, pos, b)
+        return self._like(out)
 
     def __neg__(self) -> "MatrixElement":
-        return MatrixElement([[-e for e in row] for row in self.entries])
+        return self._like({pos: -e for pos, e in self.entries.items()})
 
     def __sub__(self, other: "MatrixElement") -> "MatrixElement":
         self._check(other)
         return self + (-other)
 
     def scale(self, s: Scalar) -> "MatrixElement":
-        return MatrixElement([[e * s for e in row] for row in self.entries])
+        return self._map(lambda e: e * s)
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
-            return MatrixElement([[e * other for e in row] for row in self.entries])
+            return self._map(lambda e: e * other)
         self._check(other)
-        d = self.d
-        rows: List[List] = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = self.entries[0][0].zero_like()
-                for k in range(d):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return MatrixElement(rows)
+        rows: Dict[int, List] = {}
+        for (k, j), b in other.entries.items():
+            rows.setdefault(k, []).append((j, b))
+        out: Dict = {}
+        for (i, k), a in self.entries.items():
+            for j, b in rows.get(k, ()):
+                _absorb(out, (i, j), a * b)
+        return self._like(out)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -105,23 +153,31 @@ class MatrixElement:
 
     def trace(self) -> Scalar:
         """Sum of the entry traces along the diagonal."""
-        total = self.entries[0][0].trace()
-        for i in range(1, self.d):
-            total = total + self.entries[i][i].trace()
+        # the zero entry's trace raises wherever the entry trace is undefined
+        total = self._zero.trace()
+        for (i, j), e in self.entries.items():
+            if i == j:
+                total = total + e.trace()
         return total
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MatrixElement)
             and self.d == other.d
+            and self._zero == other._zero
             and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.d, self._zero, frozenset(self.entries.items())))
 
     def to_strings(self) -> List[List[str]]:
-        return [[str(e) for e in row] for row in self.entries]
+        """The dense array of entry strings, "0" at every position not stored."""
+        zero = str(self._zero)
+        rows = [[zero] * self.d for _ in range(self.d)]
+        for (i, j), e in self.entries.items():
+            rows[i][j] = str(e)
+        return rows
 
     def __str__(self) -> str:
         return json.dumps(self.to_strings())
@@ -137,28 +193,43 @@ def unit(element, i: int, j: int, d: int) -> MatrixElement:
     """
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"unit position ({i}, {j}) outside a {d} x {d} matrix")
-    zero = element.zero_like()
-    return MatrixElement(
-        [
-            [element if (r, c) == (i - 1, j - 1) else zero for c in range(d)]
-            for r in range(d)
-        ]
-    )
+    entries = {} if element.is_zero() else {(i - 1, j - 1): element}
+    return MatrixElement._from_map(element.zero_like(), d, entries)
 
 
-def identity_matrix(one, d: int) -> MatrixElement:
-    """The d x d identity, built from the algebra identity element."""
-    zero = one.zero_like()
-    return MatrixElement(
-        [[one if r == c else zero for c in range(d)] for r in range(d)]
-    )
+def identity_matrix(value, d: int) -> MatrixElement:
+    """The d x d matrix with value on the diagonal and zero elsewhere.
+
+    With the algebra identity element as value this is the identity matrix;
+    any other value gives its diagonal (unital) embedding.
+    """
+    m = MatrixElement.zero(value, d)
+    return m if value.is_zero() else m._like({(r, r): value for r in range(d)})
 
 
 def matrix_from_strings(
     rows: Sequence[Sequence[str]], n: int, spec: FieldSpec, leavitt: bool = True
 ) -> MatrixElement:
-    """Build a matrix from an array of canonical element strings."""
-    parsed = [[parse_element(text, n, spec) for text in row] for row in rows]
-    if leavitt:
-        parsed = [[normal_form(e) for e in row] for row in parsed]
-    return MatrixElement(parsed)
+    """Build a matrix from a square array (list of lists) of element strings.
+
+    Only texts other than "0" are parsed; every parsed entry is brought to
+    normal form when leavitt is set.
+    """
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) and all(isinstance(t, str) for t in row)
+        for row in rows
+    ):
+        raise ValueError("a matrix must be a list of lists of element strings")
+    d = _square_size(rows)
+    zero = LeavittElement.zero(n, spec) if leavitt else CohnElement.zero(n, spec)
+    entries = {}
+    for i, row in enumerate(rows):
+        for j, text in enumerate(row):
+            if text == "0":
+                continue
+            e = parse_element(text, n, spec)
+            if leavitt:
+                e = normal_form(e)
+            if not e.is_zero():
+                entries[(i, j)] = e
+    return MatrixElement._from_map(zero, d, entries)

@@ -21,7 +21,7 @@ from typing import List, Tuple, Union
 from .coeffs import FieldSpec
 from .cohn import CohnElement, x_gen as cohn_x, y_gen as cohn_y
 from .leavitt import LeavittElement
-from .matrix import MatrixElement
+from .matrix import identity_matrix
 
 __all__ = [
     "ParseError",
@@ -36,6 +36,13 @@ __all__ = [
     "print_expression",
     "evaluate",
 ]
+
+
+# Deepest expression tree, and deepest nesting of brackets, that `parse`
+# accepts.  Parsing takes about four stack frames per nested bracket, and
+# evaluating or printing one frame per tree level, so this keeps every walk
+# well inside the interpreter's default recursion limit of 1000.
+MAX_DEPTH = 200
 
 
 class ParseError(Exception):
@@ -112,10 +119,13 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
 
 
 class _Parser:
+    """Recursive descent parser; each rule returns its tree and the tree's depth."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -132,59 +142,73 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def _deeper(tok, *depths: int) -> int:
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok[2])
+        return depth
+
     def parse(self) -> Expression:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self._peek()
         if tok is not None:
             raise ParseError(f"unexpected trailing {tok[0]!r}", tok[2])
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    def expr(self) -> Tuple[Expression, int]:
+        node, depth = self.term()
         while (tok := self._peek()) is not None and tok[0] in ("+", "-"):
             self._next()
-            node = BinOp(tok[0], node, self.term())
-        return node
+            right, right_depth = self.term()
+            node, depth = BinOp(tok[0], node, right), self._deeper(tok, depth, right_depth)
+        return node, depth
 
-    def term(self) -> Expression:
-        node = self.factor()
+    def term(self) -> Tuple[Expression, int]:
+        node, depth = self.factor()
         while (tok := self._peek()) is not None and tok[0] == "*":
             self._next()
-            node = BinOp("*", node, self.factor())
-        return node
+            right, right_depth = self.factor()
+            node, depth = BinOp("*", node, right), self._deeper(tok, depth, right_depth)
+        return node, depth
 
-    def factor(self) -> Expression:
-        node = self.atom()
+    def factor(self) -> Tuple[Expression, int]:
+        node, depth = self.atom()
         if (tok := self._peek()) is not None and tok[0] == "^":
             self._next()
             exp_tok = self._next("int")
             if exp_tok[1] < 1:
                 raise ParseError("exponent must be a positive integer", exp_tok[2])
-            node = Power(node, exp_tok[1])
-        return node
+            node, depth = Power(node, exp_tok[1]), self._deeper(tok, depth)
+        return node, depth
 
-    def atom(self) -> Expression:
+    def atom(self) -> Tuple[Expression, int]:
         tok = self._peek()
         if tok is None:
             raise ParseError("unexpected end of input, expected an atom", len(self.text))
         self.pos += 1
         kind = tok[0]
         if kind == "int":
-            return IntLit(tok[1])
+            return IntLit(tok[1]), 1
         if kind == "gen":
             letter, index = tok[1]
-            return Gen(letter, index)
+            return Gen(letter, index), 1
+        if kind not in ("(", "["):
+            raise ParseError(f"expected an atom, got {kind!r}", tok[2])
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"brackets nest deeper than {MAX_DEPTH} levels", tok[2])
         if kind == "(":
-            node = self.expr()
+            out = self.expr()
             self._next(")")
-            return node
-        if kind == "[":
-            left = self.expr()
+        else:
+            left, left_depth = self.expr()
             self._next(",")
-            right = self.expr()
+            right, right_depth = self.expr()
             self._next("]")
-            return LieBracket(left, right)
-        raise ParseError(f"expected an atom, got {kind!r}", tok[2])
+            out = LieBracket(left, right), self._deeper(tok, left_depth, right_depth)
+        self.nesting -= 1
+        return out
 
 
 def parse(text: str) -> Expression:
@@ -290,11 +314,5 @@ def evaluate(node: Expression, cfg: SessionConfig):
     value = _evaluate_in(node, cfg, leavitt=True)
     if cfg.mode == "leavitt":
         return value
-    return _embed_diagonal(value, cfg.d)
+    return identity_matrix(value, cfg.d)
 
-
-def _embed_diagonal(value: LeavittElement, d: int) -> MatrixElement:
-    zero = value.zero_like()
-    return MatrixElement(
-        [[value if r == c else zero for c in range(d)] for r in range(d)]
-    )

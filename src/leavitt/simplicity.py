@@ -126,11 +126,11 @@ def verify_witness(witness: BracketWitness) -> bool:
             or right.n != witness.n
         ):
             raise ValueError("malformed witness: mixed dimensions or fields")
-    total = unit(LeavittElement.zero(witness.n, witness.spec), 1, 1, witness.d)
+    one = LeavittElement.one(witness.n, witness.spec)
+    total = MatrixElement.zero(one, witness.d)
     for left, right in witness.pairs:
         total = total + left.bracket(right)
-    expected = identity_matrix(LeavittElement.one(witness.n, witness.spec), witness.d)
-    return total == expected
+    return total == identity_matrix(one, witness.d)
 
 
 def nontriviality_probe(spec: FieldSpec, n: int, d: int) -> bool:

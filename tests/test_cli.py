@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from leavitt.cli import main
 
@@ -168,3 +171,75 @@ def test_env_var_sets_default_characteristic(capsys, monkeypatch):
     monkeypatch.setenv("LEAVITT_CHAR", "5")
     code, doc = run(capsys, "trace", "x1*y1", "--n", "3", "--char", "2")
     assert doc["result"] == "1 mod 2"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["witness", "--verify", "--n", "3", "--d", "4"], "witness_verify_n3_d4.json"),
+        (
+            ["grid", "--chars", "0,2,3", "--n-range", "2:4", "--d-range", "1:4",
+             "--witnesses", "--probe"],
+            "grid_chars_0_2_3_n2-4_d1-4_witnesses_probe.json",
+        ),
+    ],
+)
+def test_golden_stdout_bytes(capsys, argv, golden):
+    code = main(argv)
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("content", ['[[1]]', '"1"'])
+def test_taud_rejects_a_matrix_that_is_not_a_list_of_lists_of_strings(tmp_path, capsys, content):
+    path = tmp_path / "matrix.json"
+    path.write_text(content)
+    code, doc = run(capsys, "taud", str(path), "--n", "3", "--char", "2")
+    assert code == 1
+    assert doc["ok"] is False and "list of lists" in doc["reason"]
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "x1" + ")" * 3000, "+".join(["x1"] * 3000)],
+    ids=["nested-parentheses", "long-sum"],
+)
+def test_too_deep_expressions_are_parse_errors(capsys, expr):
+    code, doc = run(capsys, "nf", expr)
+    assert code == 2
+    assert doc["ok"] is False and "deeper than" in doc["reason"]
+
+
+def test_grid_rejects_session_flags(capsys):
+    for flag in ("--n", "--d", "--char", "--mode", "--config"):
+        code, doc = run(capsys, "grid", "--chars", "0", "--n-range", "2", "--d-range", "1",
+                        flag, "leavitt")
+        assert code == 2
+        assert doc["ok"] is False and flag in doc["reason"]
+
+
+def test_usage_errors_are_json_documents(capsys):
+    for argv in ([], ["frobnicate"], ["nf"], ["simple", "--n", "three"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["ok"] is False and doc["reason"]
+
+
+def test_malformed_env_characteristic_is_a_flag_error(capsys, monkeypatch):
+    monkeypatch.setenv("LEAVITT_CHAR", "two")
+    code, doc = run(capsys, "nf", "x1")
+    assert code == 2
+    assert "LEAVITT_CHAR" in doc["reason"]
+
+
+def test_non_integer_config_value_is_a_flag_error(tmp_path, capsys):
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("n = three\n")
+    code, doc = run(capsys, "nf", "x1", "--config", str(cfg))
+    assert code == 2
+    assert "must be an integer" in doc["reason"]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from leavitt import FieldSpec, Scalar, char_divides, field_arith, from_int, parse_scalar
+from leavitt.coeffs import MAX_CHARACTERISTIC
 
 from helpers import random_scalar
 
@@ -145,3 +146,16 @@ def test_parse_scalar_rejects_garbage():
         parse_scalar("3 mod 7", F5)
     with pytest.raises(ValueError):
         parse_scalar("3 mod 5 mod 5", F5)
+
+
+def test_primality_is_exact_up_to_the_limit():
+    # strong pseudoprime to every prime base up to 37 (Sorenson-Webster psi_12)
+    psi12 = 399165290221 * 798330580441
+    assert psi12 == 318665857834031151167461
+    with pytest.raises(ValueError, match="prime"):
+        FieldSpec(psi12)
+    FieldSpec(2**61 - 1)
+    FieldSpec(2**31 - 1)
+    for too_big in (MAX_CHARACTERISTIC, 2**89 - 1):  # the limit itself, then a prime above it
+        with pytest.raises(ValueError, match=str(MAX_CHARACTERISTIC)):
+            FieldSpec(too_big)

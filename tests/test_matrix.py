@@ -148,3 +148,112 @@ def test_string_round_trip():
         back = matrix_from_strings(rows, 3, F2, leavitt=True)
         assert back == a
         assert back.to_strings() == rows
+
+
+def dense_product(a, b):
+    """Reference product: the full triple loop over entry positions."""
+    d = a.d
+    rows = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc = a.entry(0, 0).zero_like()
+            for k in range(d):
+                acc = acc + a.entry(i, k) * b.entry(k, j)
+            row.append(acc)
+        rows.append(row)
+    return MatrixElement(rows)
+
+
+def sparse_random_matrix(d, n, spec, rng):
+    # about half the positions are zero, so products skip and cancel entries
+    def entry():
+        c = random_cohn(n, spec, rng, max_len=2, max_terms=2)
+        return normal_form(c) if rng.random() < 0.5 else normal_form(c.zero_like())
+
+    return MatrixElement([[entry() for _ in range(d)] for _ in range(d)])
+
+
+def no_zero_stored(m):
+    return all(not e.is_zero() for e in m.entries.values())
+
+
+def test_sparse_product_matches_the_dense_reference():
+    rng = random.Random(19)
+    for spec in (Q, F2, FieldSpec(3)):
+        for d in (1, 2, 3, 4):
+            for _ in range(5):
+                a = sparse_random_matrix(d, 2, spec, rng)
+                b = sparse_random_matrix(d, 2, spec, rng)
+                got = a * b
+                assert got == dense_product(a, b)
+                assert no_zero_stored(got)
+
+
+def test_dense_constructor_drops_zeros():
+    one = LeavittElement.one(2, Q)
+    zero = one.zero_like()
+    m = MatrixElement([[zero, one], [zero, zero]])
+    assert m.entries == {(0, 1): one}
+    assert m.entry(1, 1) == zero
+    assert m.to_strings() == [["0", "1"], ["0", "0"]]
+
+
+def test_no_zero_is_stored_when_entries_cancel():
+    rng = random.Random(23)
+    d = 3
+    for _ in range(10):
+        a = random_matrix(d, 2, F2, rng)
+        for got in (a.bracket(a), a - a, a + (-a), a.scale(F2.zero()), a * 2, a * 0):
+            assert got.is_zero() and got.entries == {}
+    y1 = LeavittElement.y_gen(1, 2, Q)
+    x2 = LeavittElement.x_gen(2, 2, Q)
+    got = unit(y1, 1, 2, d) * unit(x2, 2, 1, d)  # y1 * x2 = 0
+    assert got.entries == {} and got == unit(y1.zero_like(), 1, 1, d)
+    assert unit(y1.zero_like(), 2, 2, d).entries == {}
+
+
+def test_empty_matrices_remember_their_algebra():
+    zeros = [
+        MatrixElement.zero(LeavittElement.one(2, Q), 2),
+        MatrixElement.zero(LeavittElement.one(3, Q), 2),
+        MatrixElement.zero(LeavittElement.one(2, F2), 2),
+        MatrixElement.zero(CohnElement.one(2, Q), 2),
+        MatrixElement.zero(LeavittElement.one(2, Q), 3),
+    ]
+    for i, a in enumerate(zeros):
+        assert a.is_zero()
+        for j, b in enumerate(zeros):
+            assert (a == b) == (i == j)
+    again = MatrixElement.zero(LeavittElement.zero(2, Q), 2)
+    assert again == zeros[0] and hash(again) == hash(zeros[0])
+    assert (zeros[1].spec, zeros[1].n) == (Q, 3)
+    with pytest.raises(ValueError):
+        zeros[0] + zeros[1]
+    with pytest.raises(ValueError):
+        zeros[0] * zeros[3]
+
+
+def test_hash_agrees_with_equality():
+    rng = random.Random(29)
+    for _ in range(10):
+        a = random_matrix(2, 2, Q, rng)
+        b = matrix_from_strings(a.to_strings(), 2, Q, leavitt=True)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, a + a - a}) == 1
+
+
+def test_entry_accessor():
+    one = LeavittElement.one(2, Q)
+    m = unit(one, 2, 1, 2)
+    assert m.entry(1, 0) == one
+    assert m.entry(0, 1) == one.zero_like()
+    for i, j in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(IndexError):
+            m.entry(i, j)
+
+
+def test_matrix_from_strings_requires_a_square_list_of_lists_of_strings():
+    for rows in ("1", ["1"], [[1]], [["1", "0"]], [], None, {"a": "1"}, [["0"], "0"]):
+        with pytest.raises(ValueError):
+            matrix_from_strings(rows, 2, Q)

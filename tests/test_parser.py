@@ -14,7 +14,7 @@ from leavitt import (
     parse,
     print_expression,
 )
-from leavitt.parser import BinOp, Gen, IntLit, LieBracket, Power
+from leavitt.parser import MAX_DEPTH, BinOp, Gen, IntLit, LieBracket, Power
 
 Q = FieldSpec(0)
 
@@ -152,8 +152,8 @@ def test_evaluate_modes_produce_matching_types():
 def test_matrix_mode_embeds_diagonally():
     cfg = SessionConfig(n=3, d=2, characteristic=2, mode="matrix")
     got = evaluate(parse("x1*y1"), cfg)
-    assert got.entries[0][0] == got.entries[1][1]
-    assert got.entries[0][1].is_zero()
+    assert got.entry(0, 0) == got.entry(1, 1)
+    assert got.entry(0, 1).is_zero()
     assert got.trace().is_zero()  # two equal diagonal traces cancel mod 2
 
 
@@ -173,3 +173,22 @@ def test_session_config_validation():
         SessionConfig(characteristic=4)
     with pytest.raises(ValueError):
         SessionConfig(mode="weird")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: "(" * k + "x1" + ")" * k,  # k nested parentheses
+        lambda k: "+".join(["x1"] * k),  # a sum of k terms, k levels deep
+        lambda k: "[x1, " * (k - 1) + "x1" + "]" * (k - 1),  # k - 1 nested brackets
+    ],
+    ids=["parentheses", "sum", "brackets"],
+)
+def test_depth_bound(build):
+    cfg = SessionConfig(n=2, mode="cohn")
+    text = build(MAX_DEPTH)
+    tree = parse(text)  # at the bound: parses, evaluates and prints
+    evaluate(tree, cfg)
+    assert parse(print_expression(tree)) == tree
+    with pytest.raises(ParseError, match="deeper than"):
+        parse(build(MAX_DEPTH + 1))

@@ -65,8 +65,8 @@ def test_witness_structure_in_the_diagonal_case():
     assert len(w.pairs) == 3
     inv = Scalar(F5, 3)  # (3-1)^{-1} = 3 in F_5
     for i, (left, right) in enumerate(w.pairs, start=1):
-        assert left.entries[0][0] == LeavittElement.y_gen(i, 3, F5).scale(inv)
-        assert right.entries[0][0] == LeavittElement.x_gen(i, 3, F5)
+        assert left.entry(0, 0) == LeavittElement.y_gen(i, 3, F5).scale(inv)
+        assert right.entry(0, 0) == LeavittElement.x_gen(i, 3, F5)
     assert verify_witness(w)
 
 
@@ -75,8 +75,8 @@ def test_witness_structure_in_the_nilpotent_case():
     assert len(w.pairs) == 1
     left, right = w.pairs[0]
     one = LeavittElement.one(3, F2)
-    assert left.entries[0][1] == one and left.entries[1][0].is_zero()
-    assert right.entries[1][0] == one and right.entries[0][1].is_zero()
+    assert left.entry(0, 1) == one and left.entry(1, 0).is_zero()
+    assert right.entry(1, 0) == one and right.entry(0, 1).is_zero()
     assert verify_witness(w)
 
 
@@ -162,7 +162,7 @@ def test_diagonal_witness_specializes_to_the_scalar_identity():
         w = build_witness(spec, n, 1)
         total = LeavittElement.zero(n, spec)
         for left, right in w.pairs:
-            total = total + left.entries[0][0].bracket(right.entries[0][0])
+            total = total + left.entry(0, 0).bracket(right.entry(0, 0))
         assert total == LeavittElement.one(n, spec)
 
 
