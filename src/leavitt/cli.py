@@ -27,6 +27,10 @@ from .matrix import MatrixElement, matrix_from_strings
 
 ENV_CHAR = "LEAVITT_CHAR"
 
+# The most rows one grid command computes; a larger sweep is refused before
+# its first row, as the rows are only printed once all are done.
+MAX_GRID_ROWS = 10_000
+
 _DEFAULTS = {"n": 2, "d": 1, "char": 0, "mode": "leavitt"}
 
 
@@ -141,19 +145,26 @@ def _cmd_witness(args) -> object:
     return doc
 
 
-def _parse_range(text: str) -> List[int]:
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+def _parse_range(text: str, flag: str) -> range:
+    lo_text, colon, hi_text = text.partition(":")
+    lo = _int_setting(lo_text, flag)
+    hi = _int_setting(hi_text, flag) if colon else lo
+    if lo > hi:
+        raise _UsageError(f"{flag}: range {text!r} is reversed, {lo} is above {hi}")
+    return range(lo, hi + 1)
 
 
 def _cmd_grid(args) -> object:
-    chars = [int(c) for c in args.chars.split(",") if c.strip() != ""]
+    chars = [_int_setting(c, "--chars") for c in args.chars.split(",") if c.strip() != ""]
+    n_range = _parse_range(args.n_range, "--n-range")
+    d_range = _parse_range(args.d_range, "--d-range")
+    count = len(chars) * len(n_range) * len(d_range)
+    if count > MAX_GRID_ROWS:
+        raise ValueError(f"grid of {count} rows exceeds the limit of {MAX_GRID_ROWS} rows")
     rows = []
     for characteristic in chars:
-        for n in _parse_range(args.n_range):
-            for d in _parse_range(args.d_range):
+        for n in n_range:
+            for d in d_range:
                 cfg = SessionConfig(n=n, d=d, characteristic=characteristic)
                 verdict = is_simple(cfg.spec, n, d)
                 row = {
@@ -270,7 +281,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at devnull, so that
+        # the flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -133,9 +133,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.value == 0
 
-    def is_one(self) -> bool:
-        return self.value == 1
-
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         return Scalar(self.spec, self.value + other.value)
@@ -172,10 +169,6 @@ class Scalar:
 
     def __hash__(self):
         return hash((self.spec, self.value))
-
-    def is_negative(self) -> bool:
-        """True for rationals below zero; residues are never negative."""
-        return self.spec.characteristic == 0 and self.value < 0
 
     def __str__(self) -> str:
         # Self-describing form: "a/b" or "a" over Q, "r mod p" over F_p.

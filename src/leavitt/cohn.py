@@ -3,17 +3,25 @@
 The algebra is generated by x_1..x_n, y_1..y_n subject to y_i x_j = delta_ij.
 The products x_I y_J, indexed by pairs of words, form a free basis, so an
 element is stored as a sparse mapping from monomials to nonzero scalars.
+
+Internally that mapping is a plain dict {(xs, ys): value}: xs and ys are the
+letter tuples of I and J, and value is what `Scalar.value` would hold (a
+reduced `Fraction` over Q, an int in [1, p) over F_p), never zero.  The field
+and the alphabet size are stored once per element.  Public constructors check
+their input; ring operations build results through the trusted `_raw`.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Optional
 
 from .coeffs import FieldSpec, Scalar
-from .words import Relation, Word, compare, random_word
+from .words import Word, random_word
 
 __all__ = [
     "Monomial",
@@ -28,6 +36,23 @@ __all__ = [
     "y_gen",
     "parse_element",
 ]
+
+
+def _order(key):
+    """Print order of a raw monomial (xs, ys): degree, then length-lex x, then y."""
+    xs, ys = key
+    return (len(xs) - len(ys), len(xs), xs, len(ys), ys)
+
+
+def _mono_text(xs, ys) -> str:
+    if not xs and not ys:
+        return "1"
+    parts = []
+    if xs:
+        parts.append("x[" + ",".join(map(str, xs)) + "]")
+    if ys:
+        parts.append("y[" + ",".join(map(str, ys)) + "]")
+    return "*".join(parts)
 
 
 class Monomial:
@@ -54,11 +79,8 @@ class Monomial:
         # x-letters count +1, y-letters -1
         return len(self.xs) - len(self.ys)
 
-    def is_identity(self) -> bool:
-        return not self.xs.letters and not self.ys.letters
-
     def sort_key(self):
-        return (self.degree, self.xs.lenlex_key(), self.ys.lenlex_key())
+        return _order((self.xs.letters, self.ys.letters))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.xs == other.xs and self.ys == other.ys
@@ -67,55 +89,74 @@ class Monomial:
         return hash((self.xs, self.ys))
 
     def __repr__(self) -> str:
-        if self.is_identity():
-            return "1"
-        parts = []
-        if self.xs.letters:
-            parts.append(f"x{self.xs!r}")
-        if self.ys.letters:
-            parts.append(f"y{self.ys!r}")
-        return "*".join(parts)
+        return _mono_text(self.xs.letters, self.ys.letters)
 
 
-def _mul_monomials(a: Monomial, b: Monomial) -> Optional[Monomial]:
-    """Product of basis monomials, or None when it collapses to zero.
+class _Terms(Mapping):
+    """Read-only Monomial -> Scalar view over an element's raw term map."""
 
-    Writing a = x_I y_J and b = x_K y_L, the inner factor y_J x_K telescopes
-    under y_i x_j = delta_ij: it survives exactly when one of rev(J), K is a
-    prefix of the other, and the leftover letters migrate into the surviving
-    side.
-    """
-    rel, rem = compare(a.ys.rev(), b.xs)
-    if rel is Relation.INCOMPARABLE:
-        return None
-    if rel is Relation.RIGHT_PREFIX_OF_LEFT:
-        # rev(J) = K m: the unconsumed y-letters prepend (reversed) to L.
-        return Monomial(a.xs, rem.rev() * b.ys)
-    # K = rev(J) m (m empty when equal): unconsumed x-letters append to I.
-    return Monomial(a.xs * rem, b.ys)
+    __slots__ = ("_spec", "_n", "_raw")
+
+    def __init__(self, element: "CohnElement"):
+        self._spec, self._n, self._raw = element.spec, element.n, element._terms
+
+    def __len__(self) -> int:
+        return len(self._raw)
+
+    def __iter__(self):
+        n = self._n
+        for xs, ys in self._raw:
+            yield Monomial(Word(xs, n), Word(ys, n))
+
+    def __getitem__(self, mono: Monomial) -> Scalar:
+        if isinstance(mono, Monomial) and mono.n == self._n:
+            value = self._raw.get((mono.xs.letters, mono.ys.letters))
+            if value is not None:
+                return Scalar(self._spec, value)
+        raise KeyError(mono)
 
 
 class CohnElement:
     """A finite linear combination of basis monomials, in canonical sparse form.
 
     The term map never stores a zero coefficient, so equality of elements is
-    equality of the maps.  Instances are immutable by convention: no method
-    mutates `terms` after construction.
+    equality of the maps.  Instances are immutable: `terms` is a read-only
+    Monomial -> Scalar view, and no method mutates the map behind it.
     """
 
-    __slots__ = ("spec", "n", "terms")
+    __slots__ = ("spec", "n", "_terms")
 
-    def __init__(self, spec: FieldSpec, n: int, terms: Dict[Monomial, Scalar]):
+    def __init__(self, spec: FieldSpec, n: int, terms: Mapping):
         if n < 2:
             raise ValueError(f"alphabet size must be at least 2, got {n}")
-        self.spec = spec
-        self.n = n
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
-        for m, c in self.terms.items():
+        raw = {}
+        for m, c in terms.items():
+            if not isinstance(m, Monomial):
+                raise TypeError(f"term key must be a Monomial, got {type(m).__name__}: {m!r}")
+            if not isinstance(c, Scalar):
+                raise TypeError(f"coefficient of {m!r} must be a Scalar, got {type(c).__name__}: {c!r}")
             if m.n != n:
                 raise ValueError(f"monomial alphabet {m.n} does not match element alphabet {n}")
             if c.spec != spec:
                 raise ValueError(f"coefficient field {c.spec} does not match element field {spec}")
+            if not c.is_zero():
+                raw[(m.xs.letters, m.ys.letters)] = c.value
+        self.spec = spec
+        self.n = n
+        self._terms = raw
+
+    @classmethod
+    def _raw(cls, spec: FieldSpec, n: int, terms: Dict) -> "CohnElement":
+        """Trusted constructor: terms is a raw map in canonical form, owned by the result."""
+        e = object.__new__(cls)
+        e.spec = spec
+        e.n = n
+        e._terms = terms
+        return e
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self)
 
     @classmethod
     def zero(cls, n: int, spec: FieldSpec) -> "CohnElement":
@@ -139,37 +180,49 @@ class CohnElement:
         if other.n != self.n:
             raise ValueError(f"mismatched alphabet sizes: {self.n} vs {other.n}")
 
+    def _like(self, terms: Dict) -> "CohnElement":
+        return CohnElement._raw(self.spec, self.n, terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def zero_like(self) -> "CohnElement":
-        return CohnElement(self.spec, self.n, {})
+        return self._like({})
 
     def __add__(self, other: "CohnElement") -> "CohnElement":
         self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                terms.pop(m, None)
+        p = self.spec.characteristic
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            acc = out.get(m)
+            if acc is None:
+                out[m] = c
+                continue
+            acc = (acc + c) % p if p else acc + c
+            if acc:
+                out[m] = acc
             else:
-                terms[m] = acc
-        return CohnElement(self.spec, self.n, terms)
+                del out[m]
+        return self._like(out)
 
     def __neg__(self) -> "CohnElement":
-        return CohnElement(self.spec, self.n, {m: -c for m, c in self.terms.items()})
+        return self.scale(-self.spec.one())
 
     def __sub__(self, other: "CohnElement") -> "CohnElement":
         self._check(other)
         return self + (-other)
 
     def scale(self, s: Scalar) -> "CohnElement":
+        if not isinstance(s, Scalar):
+            raise TypeError(f"expected Scalar, got {type(s).__name__}")
         if s.spec != self.spec:
             raise ValueError(f"mismatched fields: {self.spec} vs {s.spec}")
         if s.is_zero():
             return self.zero_like()
-        return CohnElement(self.spec, self.n, {m: s * c for m, c in self.terms.items()})
+        p, v = self.spec.characteristic, s.value
+        if p:
+            return self._like({m: v * c % p for m, c in self._terms.items()})
+        return self._like({m: v * c for m, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Scalar):
@@ -177,20 +230,43 @@ class CohnElement:
         if isinstance(other, int):
             return self.scale(self.spec.from_int(other))
         self._check(other)
-        terms: Dict[Monomial, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = _mul_monomials(ma, mb)
-                if m is None:
-                    continue
-                c = ca * cb
-                acc = terms.get(m)
-                acc = c if acc is None else acc + c
-                if acc.is_zero():
-                    terms.pop(m, None)
+        p = self.spec.characteristic
+        left, right = self._terms, other._terms
+        if p == 0:
+            # Integer numerators over a common denominator per factor, so
+            # that the pair loop below only multiplies and adds ints.
+            dl = lcm(*(c.denominator for c in left.values()))
+            dr = lcm(*(c.denominator for c in right.values()))
+            left = {m: c.numerator * (dl // c.denominator) for m, c in left.items()}
+            right = {m: c.numerator * (dr // c.denominator) for m, c in right.items()}
+        # x_I y_J * x_K y_L: y_J x_K telescopes under y_i x_j = delta_ij and
+        # survives exactly when one of rev(J), K is a prefix of the other;
+        # the unconsumed letters stay on their own side.
+        rights = [(ks, ls, len(ks), cb) for (ks, ls), cb in right.items()]
+        acc: Dict = {}
+        get = acc.get
+        for (xs, ys), ca in left.items():
+            rj = ys[::-1]
+            lj = len(rj)
+            for ks, ls, lk, cb in rights:
+                if lj <= lk:
+                    if ks[:lj] != rj:
+                        continue
+                    m = (xs + ks[lj:], ls)
+                elif rj[:lk] == ks:
+                    m = (xs, ys[: lj - lk] + ls)
                 else:
-                    terms[m] = acc
-        return CohnElement(self.spec, self.n, terms)
+                    continue
+                acc[m] = get(m, 0) + ca * cb
+        if p == 0:
+            den = dl * dr
+            return self._like({m: Fraction(v, den) for m, v in acc.items() if v})
+        out = {}
+        for m, v in acc.items():
+            v %= p
+            if v:
+                out[m] = v
+        return self._like(out)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -214,44 +290,42 @@ class CohnElement:
         This is the linear functional sending x_I y_J to 1 when I = rev(J)
         and to 0 otherwise; it satisfies trace(ab) = trace(ba).
         """
-        total = self.spec.zero()
-        for m, c in self.terms.items():
-            if m.xs.letters == m.ys.letters[::-1]:
-                total = total + c
-        return total
+        total = sum(c for (xs, ys), c in self._terms.items() if xs == ys[::-1])
+        return Scalar(self.spec, total)
 
     def degree_split(self) -> Dict[int, "CohnElement"]:
         """Partition into homogeneous parts under deg(x_i) = 1, deg(y_i) = -1."""
-        parts: Dict[int, Dict[Monomial, Scalar]] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(m.degree, {})[m] = c
-        return {d: CohnElement(self.spec, self.n, t) for d, t in sorted(parts.items())}
+        parts: Dict[int, Dict] = {}
+        for m, c in self._terms.items():
+            parts.setdefault(len(m[0]) - len(m[1]), {})[m] = c
+        return {d: self._like(t) for d, t in sorted(parts.items())}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CohnElement)
             and self.spec == other.spec
             and self.n == other.n
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.spec, self.n, frozenset(self.terms.items())))
+        return hash((self.spec, self.n, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
+        rational = self.spec.characteristic == 0
         chunks = []
-        for m in sorted(self.terms, key=Monomial.sort_key):
-            c = self.terms[m]
-            negative = c.is_negative()
+        for m in sorted(self._terms, key=_order):
+            c = self._terms[m]
+            negative = rational and c < 0
             mag = -c if negative else c
-            if m.is_identity():
-                body = mag.bare()
-            elif mag.is_one():
-                body = repr(m)
+            if not m[0] and not m[1]:
+                body = str(mag)
+            elif mag == 1:
+                body = _mono_text(*m)
             else:
-                body = f"{mag.bare()}*{m!r}"
+                body = f"{mag}*{_mono_text(*m)}"
             if not chunks:
                 chunks.append(f"-{body}" if negative else body)
             else:
@@ -272,11 +346,11 @@ def degree_split(a: CohnElement) -> Dict[int, CohnElement]:
 
 
 def x_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement.from_monomial(Monomial(word, Word.empty(word.n)), spec)
+    return CohnElement._raw(spec, word.n, {(word.letters, ()): spec.one().value})
 
 
 def y_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement.from_monomial(Monomial(Word.empty(word.n), word), spec)
+    return CohnElement._raw(spec, word.n, {((), word.letters): spec.one().value})
 
 
 def x_gen(i: int, n: int, spec: FieldSpec) -> CohnElement:

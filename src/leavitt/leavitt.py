@@ -21,7 +21,7 @@ import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar
-from .cohn import CohnElement, Monomial, x_word, y_word
+from .cohn import CohnElement, _mono_text, _order, x_word, y_word
 from .words import Word
 
 __all__ = [
@@ -34,13 +34,8 @@ __all__ = [
 ]
 
 
-def _has_junction(m: Monomial) -> bool:
-    return (
-        bool(m.xs.letters)
-        and bool(m.ys.letters)
-        and m.xs.letters[-1] == m.n
-        and m.ys.letters[0] == m.n
-    )
+def _has_junction(xs, ys, n: int) -> bool:
+    return bool(xs) and bool(ys) and xs[-1] == n and ys[0] == n
 
 
 class RewriteStep(NamedTuple):
@@ -62,20 +57,22 @@ def _reduce(
     trace: Optional[List[RewriteStep]],
 ) -> CohnElement:
     spec, n = element.spec, element.n
-    terms: Dict[Monomial, Scalar] = dict(element.terms)
-    pending = [m for m in terms if _has_junction(m)]
+    p = spec.characteristic
+    terms = dict(element._terms)
+    pending = [m for m in terms if _has_junction(*m, n)]
     queued = set(pending)
 
-    def absorb(m: Monomial, c: Scalar) -> None:
+    def absorb(m, c) -> None:
         acc = terms.get(m)
-        acc = c if acc is None else acc + c
-        if acc.is_zero():
-            terms.pop(m, None)
-        else:
-            terms[m] = acc
-            if _has_junction(m) and m not in queued:
-                pending.append(m)
-                queued.add(m)
+        if acc is not None:
+            c = (acc + c) % p if p else acc + c
+            if not c:
+                del terms[m]
+                return
+        terms[m] = c
+        if _has_junction(*m, n) and m not in queued:
+            pending.append(m)
+            queued.add(m)
 
     while pending:
         idx = rng.randrange(len(pending)) if rng is not None else len(pending) - 1
@@ -84,15 +81,14 @@ def _reduce(
         s = terms.pop(m, None)
         if s is None:
             continue  # cancelled since it was queued
-        left = Word(m.xs.letters[:-1], n)
-        right = Word(m.ys.letters[1:], n)
+        left, right = m[0][:-1], m[1][1:]
+        neg = p - s if p else -s
         if trace is not None:
-            trace.append(RewriteStep(-s, left, right))
-        absorb(Monomial(left, right), s)
+            trace.append(RewriteStep(Scalar(spec, neg), Word(left, n), Word(right, n)))
+        absorb((left, right), s)
         for i in range(1, n):
-            w = (i,)
-            absorb(Monomial(Word(left.letters + w, n), Word(w + right.letters, n)), -s)
-    return CohnElement(spec, n, terms)
+            absorb((left + (i,), (i,) + right), neg)
+    return CohnElement._raw(spec, n, terms)
 
 
 def normal_form(c: CohnElement, rng: Optional[random.Random] = None) -> "LeavittElement":
@@ -102,7 +98,7 @@ def normal_form(c: CohnElement, rng: Optional[random.Random] = None) -> "Leavitt
     rewritten; the result is the same either way (the rewriting system is
     confluent), which the test suite checks empirically.
     """
-    return LeavittElement(_reduce(c, rng, None))
+    return LeavittElement._wrap(_reduce(c, rng, None))
 
 
 def normal_form_with_trace(
@@ -110,7 +106,7 @@ def normal_form_with_trace(
 ) -> Tuple["LeavittElement", List[RewriteStep]]:
     """Normal form plus the rewrite trace witnessing membership in the ideal."""
     trace: List[RewriteStep] = []
-    return LeavittElement(_reduce(c, rng, trace)), trace
+    return LeavittElement._wrap(_reduce(c, rng, trace)), trace
 
 
 class LeavittElement:
@@ -124,28 +120,37 @@ class LeavittElement:
     __slots__ = ("rep",)
 
     def __init__(self, rep: CohnElement):
-        for m in rep.terms:
-            if _has_junction(m):
+        if not isinstance(rep, CohnElement):
+            raise TypeError(f"expected CohnElement, got {type(rep).__name__}")
+        for xs, ys in rep._terms:
+            if _has_junction(xs, ys, rep.n):
                 raise ValueError(
-                    f"representative is not in normal form: junction monomial {m!r}"
+                    f"representative is not in normal form: junction monomial {_mono_text(xs, ys)}"
                 )
         self.rep = rep
 
     @classmethod
+    def _wrap(cls, rep: CohnElement) -> "LeavittElement":
+        """Trusted constructor: rep is already junction-free."""
+        e = object.__new__(cls)
+        e.rep = rep
+        return e
+
+    @classmethod
     def zero(cls, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls(CohnElement.zero(n, spec))
+        return cls._wrap(CohnElement.zero(n, spec))
 
     @classmethod
     def one(cls, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls(CohnElement.one(n, spec))
+        return cls._wrap(CohnElement.one(n, spec))
 
     @classmethod
     def x_gen(cls, i: int, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls(x_word(Word((i,), n), spec))
+        return cls._wrap(x_word(Word((i,), n), spec))
 
     @classmethod
     def y_gen(cls, i: int, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls(y_word(Word((i,), n), spec))
+        return cls._wrap(y_word(Word((i,), n), spec))
 
     @property
     def spec(self) -> FieldSpec:
@@ -155,28 +160,35 @@ class LeavittElement:
     def n(self) -> int:
         return self.rep.n
 
+    def _check(self, other: "LeavittElement") -> None:
+        if not isinstance(other, LeavittElement):
+            raise TypeError(f"expected LeavittElement, got {type(other).__name__}")
+
     def is_zero(self) -> bool:
         return self.rep.is_zero()
 
     def zero_like(self) -> "LeavittElement":
-        return LeavittElement(self.rep.zero_like())
+        return LeavittElement._wrap(self.rep.zero_like())
 
     def __add__(self, other: "LeavittElement") -> "LeavittElement":
         # junction-free terms stay junction-free under addition
-        return LeavittElement(self.rep + other.rep)
+        self._check(other)
+        return LeavittElement._wrap(self.rep + other.rep)
 
     def __sub__(self, other: "LeavittElement") -> "LeavittElement":
-        return LeavittElement(self.rep - other.rep)
+        self._check(other)
+        return LeavittElement._wrap(self.rep - other.rep)
 
     def __neg__(self) -> "LeavittElement":
-        return LeavittElement(-self.rep)
+        return LeavittElement._wrap(-self.rep)
 
     def scale(self, s: Scalar) -> "LeavittElement":
-        return LeavittElement(self.rep.scale(s))
+        return LeavittElement._wrap(self.rep.scale(s))
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
-            return LeavittElement(self.rep * other)
+            return LeavittElement._wrap(self.rep * other)
+        self._check(other)
         return normal_form(self.rep * other.rep)
 
     def __rmul__(self, other):
@@ -193,6 +205,7 @@ class LeavittElement:
         return out
 
     def bracket(self, other: "LeavittElement") -> "LeavittElement":
+        self._check(other)
         return normal_form(self.rep.bracket(other.rep))
 
     def trace(self) -> Scalar:
@@ -242,34 +255,35 @@ def independence_check(words: Sequence[Word]) -> bool:
     spec = FieldSpec(0)  # independence over the prime field of Q suffices here
     monomials = set()
     for w in words:
-        nf = normal_form(x_word(w, spec))
-        if len(nf.rep.terms) != 1:
+        terms = normal_form(x_word(w, spec)).rep._terms
+        if len(terms) != 1:
             return False
-        monomials.update(nf.rep.terms)
+        monomials.update(terms)
     return len(monomials) == len(words)
 
 
-def _linearly_independent(rows: List[Dict[Monomial, Scalar]], spec: FieldSpec) -> bool:
-    """Reduced row elimination over the sparse monomial support."""
-    pivots: Dict[Monomial, Dict[Monomial, Scalar]] = {}
+def _linearly_independent(rows: List[Dict], p: int) -> bool:
+    """Reduced row elimination over the sparse monomial support of raw term maps."""
+    pivots: Dict = {}
     for row in rows:
         work = dict(row)
         for piv, prow in pivots.items():
             c = work.get(piv)
-            if c is None or c.is_zero():
+            if c is None:
                 continue
             for m, v in prow.items():
-                acc = work.get(m, spec.zero()) - c * v
-                if acc.is_zero():
-                    work.pop(m, None)
-                else:
+                acc = work.get(m, 0) - c * v
+                if p:
+                    acc %= p
+                if acc:
                     work[m] = acc
-        work = {m: v for m, v in work.items() if not v.is_zero()}
+                else:
+                    work.pop(m, None)
         if not work:
             return False
-        piv = max(work, key=Monomial.sort_key)
-        inv = work[piv].inv()
-        pivots[piv] = {m: v * inv for m, v in work.items()}
+        piv = max(work, key=_order)
+        inv = pow(work[piv], -1, p) if p else 1 / work[piv]
+        pivots[piv] = {m: v * inv % p if p else v * inv for m, v in work.items()}
     return True
 
 
@@ -287,6 +301,6 @@ def dim_probe(J: int, n: int, spec: FieldSpec) -> bool:
     rows = []
     power = x2
     for _ in range(J):
-        rows.append(x1.bracket(power).rep.terms)
+        rows.append(x1.bracket(power).rep._terms)
         power = power * x2
-    return _linearly_independent(rows, spec)
+    return _linearly_independent(rows, spec.characteristic)

@@ -62,10 +62,6 @@ class Word:
     def __hash__(self):
         return hash((self.letters, self.n))
 
-    def lenlex_key(self):
-        """Sort key for the length-lexicographic order used in printing."""
-        return (len(self.letters), self.letters)
-
     def __repr__(self) -> str:
         return "[" + ",".join(str(i) for i in self.letters) + "]"
 

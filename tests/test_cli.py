@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from leavitt.cli import main
+from leavitt.cli import MAX_GRID_ROWS, main
 
 
 def run(capsys, *argv):
@@ -243,3 +246,46 @@ def test_non_integer_config_value_is_a_flag_error(tmp_path, capsys):
     code, doc = run(capsys, "nf", "x1", "--config", str(cfg))
     assert code == 2
     assert "must be an integer" in doc["reason"]
+
+
+def test_grid_row_count_is_bounded(capsys):
+    code, doc = run(capsys, "grid", "--chars", "0", "--n-range", "2:100000",
+                    "--d-range", "1:100000")
+    assert code == 1
+    assert doc["ok"] is False
+    assert str(99999 * 100000) in doc["reason"] and str(MAX_GRID_ROWS) in doc["reason"]
+    assert 6 * 7 * 6 < MAX_GRID_ROWS  # the acceptance grid
+
+
+@pytest.mark.parametrize("flag", ["--n-range", "--d-range"])
+def test_grid_rejects_a_reversed_range(capsys, flag):
+    ranges = {"--n-range": "2:3", "--d-range": "1:2", flag: "5:2"}
+    code, doc = run(capsys, "grid", "--chars", "0", *[x for kv in ranges.items() for x in kv])
+    assert code == 2
+    assert doc["ok"] is False and flag in doc["reason"] and "reversed" in doc["reason"]
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--chars", "x"), ("--chars", "0,2,q"), ("--n-range", "abc"),
+                    ("--n-range", "2:"), ("--d-range", "1:x")],
+)
+def test_grid_non_integer_values_name_the_flag(capsys, flag, value):
+    argv = {"--chars": "0", "--n-range": "2", "--d-range": "1", flag: value}
+    code, doc = run(capsys, "grid", *[x for kv in argv.items() for x in kv])
+    assert code == 2
+    assert doc["ok"] is False and flag in doc["reason"] and "invalid literal" not in doc["reason"]
+
+
+def test_closed_stdout_exits_quietly():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leavitt.cli", "grid", "--chars", "0", "--n-range", "2",
+         "--d-range", "1", "--pretty"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader goes away before the first write
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

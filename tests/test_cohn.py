@@ -55,6 +55,16 @@ def test_scaling():
     assert a.scale(Q.zero()).is_zero()
 
 
+def test_constructor_rejects_a_non_scalar_coefficient():
+    with pytest.raises(TypeError, match="int"):
+        CohnElement(Q, 2, {mono((1,), (), 2): 3})
+
+
+def test_constructor_rejects_a_non_monomial_key():
+    with pytest.raises(TypeError, match="tuple"):
+        CohnElement(Q, 2, {((1,), ()): Q.one()})
+
+
 def test_mismatched_contexts_rejected():
     with pytest.raises(ValueError):
         elem((1,), (), Q, 2) + elem((1,), (), Q, 3)
@@ -100,6 +110,40 @@ def test_product_matches_string_rewriting_oracle():
             cases.add("xside" if len(a.ys) <= len(b.xs) else "yside")
             assert got == CohnElement.from_monomial(expected, Q)
     assert cases == {"zero", "xside", "yside"}
+
+
+def _random_terms(n, spec, rng):
+    """A term map of 5 to 15 distinct monomials with nonzero coefficients."""
+    p, size, terms = spec.characteristic, rng.randint(5, 15), {}
+    while len(terms) < size:
+        if p == 0:
+            value = Fraction(rng.choice([i for i in range(-30, 31) if i]), rng.randint(1, 12))
+        else:
+            value = rng.randint(1, p - 1)
+        terms[random_monomial(n, 3, rng)] = Scalar(spec, value)
+    return terms
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 2**61 - 1])
+def test_multi_term_product_matches_the_oracle(p):
+    spec = FieldSpec(p)
+    rng = random.Random(67 + p % 1000)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        ta, tb = _random_terms(n, spec, rng), _random_terms(n, spec, rng)
+        expected = {}
+        for ma, ca in ta.items():
+            for mb, cb in tb.items():
+                m = oracle_mul(ma, mb)
+                if m is not None:
+                    expected[m] = expected.get(m, spec.zero()) + ca * cb
+        a, b = CohnElement(spec, n, ta), CohnElement(spec, n, tb)
+        ab = a * b
+        assert ab == CohnElement(spec, n, expected)
+        for x in (a, b, ab):
+            rebuilt = CohnElement(spec, n, x.terms)
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+            assert parse_element(str(x), n, spec) == x
 
 
 def test_multiplication_is_associative():

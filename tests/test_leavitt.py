@@ -114,6 +114,13 @@ def test_direct_construction_rejects_junction_representatives():
 # --- quotient arithmetic -----------------------------------------------------
 
 
+def test_mixing_leavitt_and_cohn_operands_is_a_type_error():
+    a = LeavittElement.x_gen(1, 2, Q)
+    for op in (lambda: a + a.rep, lambda: a - a.rep, lambda: a * a.rep, lambda: a.bracket(a.rep)):
+        with pytest.raises(TypeError, match="CohnElement"):
+            op()
+
+
 def test_product_of_generators_reduces():
     x2 = LeavittElement.x_gen(2, 2, Q)
     y2 = LeavittElement.y_gen(2, 2, Q)
