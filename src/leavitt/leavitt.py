@@ -2,22 +2,27 @@
 
 Coset representatives are Cohn elements in which no monomial contains the
 junction x_n y_n (an x-word ending in the top letter directly followed by a
-y-word starting with it).  Such a junction monomial x_{I'n} y_{nJ'} rewrites,
-using 1 = sum_i x_i y_i, to
+y-word starting with it).  Using 1 = sum_i x_i y_i, a junction monomial
+x_{Ln} y_{nR} rewrites to x_L y_R - sum_{i<n} x_{Li} y_{iR}, which differs
+from it by x_L (1 - sum_i x_i y_i) y_R, an element of the defining ideal.
+Each monomial has at most one junction, so this rewriting system has no
+ambiguities and Bergman's Diamond Lemma (Adv. Math. 29, 1978) makes its
+normal form unique; the junction-free monomials are the standard basis of
+the Leavitt algebra L(1, n).
 
-    x_{I'} y_{J'} - sum_{i=1}^{n-1} x_{I'i} y_{iJ'},
+The normal form of one monomial can therefore be written down directly.
+Write it as x_{A n^r} y_{n^s B}, with A not ending in n and B not starting
+with n, and let m = min(r, s).  Rewriting the junction m times gives
 
-which differs from it by a multiple of x_{I'} (1 - sum_i x_i y_i) y_{J'},
-an element of the defining ideal.  The replacement terms indexed by i < n
-end their x-word in a letter below n and so carry no junction; the only
-candidate junction monomial left is x_{I'} y_{J'}, two letters shorter.
-Reduction therefore terminates, and the junction-free result is used as
-the canonical coset representative.
+    x_{A n^(r-m)} y_{n^(s-m) B}
+        - sum_{t=1..m} sum_{i<n} x_{A n^(r-t) i} y_{i n^(s-t) B},
+
+every term of which is junction-free.  Reducing an element is one pass
+over its terms, linear in the letters of the output.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar
@@ -51,62 +56,43 @@ class RewriteStep(NamedTuple):
     right: Word
 
 
-def _reduce(
-    element: CohnElement,
-    rng: Optional[random.Random],
-    trace: Optional[List[RewriteStep]],
-) -> CohnElement:
+def _reduce(element: CohnElement, trace: Optional[List[RewriteStep]]) -> CohnElement:
     spec, n = element.spec, element.n
     p = spec.characteristic
-    terms = dict(element._terms)
-    pending = [m for m in terms if _has_junction(*m, n)]
-    queued = set(pending)
+    # junction-free terms are copied through; rewriting never yields a junction
+    out = dict(element._terms)
+    junctions = [(m, out.pop(m)) for m in element._terms if _has_junction(*m, n)]
 
-    def absorb(m, c) -> None:
-        acc = terms.get(m)
+    def add(m, c) -> None:
+        acc = out.get(m)
         if acc is not None:
             c = (acc + c) % p if p else acc + c
             if not c:
-                del terms[m]
+                del out[m]
                 return
-        terms[m] = c
-        if _has_junction(*m, n) and m not in queued:
-            pending.append(m)
-            queued.add(m)
+        out[m] = c
 
-    while pending:
-        idx = rng.randrange(len(pending)) if rng is not None else len(pending) - 1
-        m = pending.pop(idx)
-        queued.discard(m)
-        s = terms.pop(m, None)
-        if s is None:
-            continue  # cancelled since it was queued
-        left, right = m[0][:-1], m[1][1:]
-        neg = p - s if p else -s
-        if trace is not None:
-            trace.append(RewriteStep(Scalar(spec, neg), Word(left, n), Word(right, n)))
-        absorb((left, right), s)
-        for i in range(1, n):
-            absorb((left + (i,), (i,) + right), neg)
-    return CohnElement._raw(spec, n, terms)
+    for (left, right), c in junctions:
+        neg = p - c if p else -c
+        while _has_junction(left, right, n):
+            left, right = left[:-1], right[1:]
+            if trace is not None:
+                trace.append(RewriteStep(Scalar(spec, neg), Word(left, n), Word(right, n)))
+            for i in range(1, n):
+                add((left + (i,), (i,) + right), neg)
+        add((left, right), c)
+    return CohnElement._raw(spec, n, out)
 
 
-def normal_form(c: CohnElement, rng: Optional[random.Random] = None) -> "LeavittElement":
-    """Reduce a Cohn element to its junction-free coset representative.
-
-    An optional rng randomizes the order in which junction terms are
-    rewritten; the result is the same either way (the rewriting system is
-    confluent), which the test suite checks empirically.
-    """
-    return LeavittElement._wrap(_reduce(c, rng, None))
+def normal_form(c: CohnElement) -> "LeavittElement":
+    """Reduce a Cohn element to its junction-free coset representative."""
+    return LeavittElement._wrap(_reduce(c, None))
 
 
-def normal_form_with_trace(
-    c: CohnElement, rng: Optional[random.Random] = None
-) -> Tuple["LeavittElement", List[RewriteStep]]:
+def normal_form_with_trace(c: CohnElement) -> Tuple["LeavittElement", List[RewriteStep]]:
     """Normal form plus the rewrite trace witnessing membership in the ideal."""
     trace: List[RewriteStep] = []
-    return LeavittElement._wrap(_reduce(c, rng, trace)), trace
+    return LeavittElement._wrap(_reduce(c, trace)), trace
 
 
 class LeavittElement:

@@ -1,12 +1,13 @@
-"""Shared test utilities: random generators and the brute-force product oracle."""
+"""Shared test utilities: random generators and the brute-force product and
+normal-form oracles."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional
 
-from leavitt import CohnElement, FieldSpec, Monomial, Scalar, Word
+from leavitt import CohnElement, FieldSpec, LeavittElement, Monomial, RewriteStep, Scalar, Word
 from leavitt.words import random_word
 
 
@@ -70,3 +71,58 @@ def oracle_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
     assert word == [("x", i) for i in xs] + [("y", i) for i in ys]
     n = a.xs.n
     return Monomial(Word(xs, n), Word(ys, n))
+
+
+def worklist_normal_form(
+    c: CohnElement,
+    rng: Optional[random.Random] = None,
+    trace: Optional[List[RewriteStep]] = None,
+) -> LeavittElement:
+    """Normal form by rewriting one junction at a time from a work queue.
+
+    Pops a junction monomial x_{Ln} y_{nR} (at random when an rng is
+    given), replaces it by x_L y_R - sum_{i<n} x_{Li} y_{iR}, and queues any
+    junction monomial this creates, until none is left.  Independent of the
+    closed form used by `normal_form`; the rewriting system is confluent,
+    so every order must reach the same result.  Each rewrite is appended
+    to trace, when given, as the ideal multiple it subtracts.
+    """
+    spec, n = c.spec, c.n
+    p = spec.characteristic
+    terms = dict(c._terms)
+
+    def has_junction(m) -> bool:
+        xs, ys = m
+        return bool(xs) and bool(ys) and xs[-1] == n and ys[0] == n
+
+    pending = [m for m in terms if has_junction(m)]
+    queued = set(pending)
+
+    def absorb(m, v) -> None:
+        acc = terms.get(m)
+        if acc is not None:
+            v = (acc + v) % p if p else acc + v
+            if not v:
+                del terms[m]
+                return
+        terms[m] = v
+        if has_junction(m) and m not in queued:
+            pending.append(m)
+            queued.add(m)
+
+    while pending:
+        idx = rng.randrange(len(pending)) if rng is not None else len(pending) - 1
+        m = pending.pop(idx)
+        queued.discard(m)
+        s = terms.pop(m, None)
+        if s is None:
+            continue  # cancelled since it was queued
+        left, right = m[0][:-1], m[1][1:]
+        neg = p - s if p else -s
+        if trace is not None:
+            trace.append(RewriteStep(Scalar(spec, neg), Word(left, n), Word(right, n)))
+        absorb((left, right), s)
+        for i in range(1, n):
+            absorb((left + (i,), (i,) + right), neg)
+    # the checked constructor rejects any junction the queue missed
+    return LeavittElement(CohnElement._raw(spec, n, terms))

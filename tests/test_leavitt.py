@@ -17,11 +17,12 @@ from leavitt import (
     y_word,
 )
 
-from helpers import random_cohn
+from helpers import random_cohn, random_scalar, worklist_normal_form
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
+F7 = FieldSpec(7)
 
 
 def mono_elem(xs, ys, spec=Q, n=2):
@@ -62,10 +63,23 @@ def test_confluence_under_randomized_rewrite_orders():
         n = rng.randint(2, 3)
         spec = FieldSpec(rng.choice((0, 2, 3)))
         c = random_cohn(n, spec, rng, max_len=4, max_terms=4)
-        first = normal_form(c, rng=random.Random(1000 + trial))
-        second = normal_form(c, rng=random.Random(2000 + trial))
+        first = worklist_normal_form(c, rng=random.Random(1000 + trial))
+        second = worklist_normal_form(c, rng=random.Random(2000 + trial))
         assert first == second
-        assert first == normal_form(c)
+        nf = normal_form(c)
+        assert first == nf
+        assert normal_form(nf.rep) == nf
+
+
+def ideal_combination(steps, n, spec):
+    """Sum of coefficient * x_left * (1 - sum_i x_i y_i) * y_right over the steps."""
+    g = ideal_generator(n, spec)
+    acc = {}
+    for step in steps:
+        term = x_word(step.left, spec) * g * y_word(step.right, spec)
+        for m, v in term.scale(step.coefficient).terms.items():
+            acc[m] = acc[m] + v if m in acc else v
+    return CohnElement(spec, n, acc)
 
 
 def test_rewrite_trace_witnesses_ideal_membership():
@@ -75,12 +89,44 @@ def test_rewrite_trace_witnesses_ideal_membership():
         spec = FieldSpec(rng.choice((0, 2, 5)))
         c = random_cohn(n, spec, rng, max_len=4, max_terms=4)
         nf, steps = normal_form_with_trace(c)
-        g = ideal_generator(n, spec)
-        combination = CohnElement.zero(n, spec)
-        for step in steps:
-            term = x_word(step.left, spec) * g * y_word(step.right, spec)
-            combination = combination + term.scale(step.coefficient)
-        assert combination == c - nf.rep
+        assert ideal_combination(steps, n, spec) == c - nf.rep
+
+
+def chain_element(n, spec, rng):
+    """Seeded terms c x_{A n^r} y_{n^s B} with r, s up to 60, plus terms
+    whose chains collide with them: -c x_{A n^(r-1)} y_{n^(s-1) B} cancels
+    the tail of the chain, and c x_{A n^(r-1) i} y_{i n^(s-1) B} cancels
+    one replacement term of its first rewrite."""
+    terms = {}
+
+    def add(xs, ys, c):
+        m = Monomial(Word(xs, n), Word(ys, n))
+        terms[m] = terms[m] + c if m in terms else c
+
+    for _ in range(rng.randint(1, 3)):
+        # letters below n, so that the runs of n are exactly r and s long
+        head = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
+        tail = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
+        r, s = rng.randint(1, 60), rng.randint(1, 60)
+        c = random_scalar(spec, rng, nonzero=True)
+        add(head + (n,) * r, (n,) * s + tail, c)
+        if rng.random() < 0.5:
+            add(head + (n,) * (r - 1), (n,) * (s - 1) + tail, -c)
+        if rng.random() < 0.5:
+            i = rng.randint(1, n - 1)
+            add(head + (n,) * (r - 1) + (i,), (i,) + (n,) * (s - 1) + tail, c)
+    return CohnElement(spec, n, terms)
+
+
+def test_long_chains_and_cancellations_match_the_worklist():
+    rng = random.Random(23)
+    for n in (2, 3, 4):
+        for spec in (Q, F2, F7):
+            for _ in range(3):
+                c = chain_element(n, spec, rng)
+                nf, steps = normal_form_with_trace(c)
+                assert nf == worklist_normal_form(c)
+                assert ideal_combination(steps, n, spec) == c - nf.rep
 
 
 def test_normal_form_is_multiplicative():

@@ -1,0 +1,42 @@
+"""Property tests, generated by hypothesis with a fixed derandomized seed."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from leavitt import CohnElement, FieldSpec, Monomial, Scalar, Word, normal_form
+
+from helpers import worklist_normal_form
+
+
+@st.composite
+def chain_elements(draw):
+    """Cohn elements whose monomials carry long trailing x- and leading y-runs
+    of the top letter, so that their normal forms rewrite long chains.  The
+    terms share their outer words and nearly share their run offsets, so
+    that their rewrites collide and cancel."""
+    n = draw(st.integers(2, 4))
+    spec = FieldSpec(draw(st.sampled_from((0, 2, 7))))
+    words = st.lists(st.lists(st.integers(1, n), max_size=2).map(tuple), min_size=1, max_size=2)
+    heads, tails = draw(words), draw(words)
+    if spec.characteristic:
+        coeff = st.integers(1, spec.characteristic - 1)
+    else:
+        coeff = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 4))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, 40))
+        s = max(0, r + draw(st.integers(-1, 1)))
+        xs = draw(st.sampled_from(heads)) + (n,) * r
+        ys = (n,) * s + draw(st.sampled_from(tails))
+        terms[Monomial(Word(xs, n), Word(ys, n))] = Scalar(spec, draw(coeff))
+    return CohnElement(spec, n, terms)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(chain_elements())
+def test_closed_form_normal_form_agrees_with_the_worklist(c):
+    assert normal_form(c) == worklist_normal_form(c)
