@@ -1,13 +1,11 @@
 """Exact symbolic computation in Cohn and Leavitt algebras, their matrix
 rings, and the simplicity analysis of the associated Lie algebras."""
 
-from .coeffs import FieldSpec, Scalar, char_divides, field_arith, from_int, parse_scalar
-from .words import CompareResult, Relation, Word, compare, concat, random_word, rev
+from .coeffs import FieldSpec, Scalar, parse_scalar
+from .words import Word, random_word
 from .cohn import (
     CohnElement,
     Monomial,
-    bracket,
-    degree_split,
     ideal_generator,
     parse_element,
     random_element,
@@ -43,22 +41,12 @@ __version__ = "0.1.0"
 __all__ = [
     "FieldSpec",
     "Scalar",
-    "field_arith",
-    "from_int",
-    "char_divides",
     "parse_scalar",
     "Word",
-    "Relation",
-    "CompareResult",
-    "concat",
-    "rev",
-    "compare",
     "random_word",
     "Monomial",
     "CohnElement",
-    "bracket",
     "ideal_generator",
-    "degree_split",
     "random_element",
     "x_word",
     "y_word",

@@ -9,14 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = [
-    "FieldSpec",
-    "Scalar",
-    "field_arith",
-    "from_int",
-    "char_divides",
-    "parse_scalar",
-]
+__all__ = ["FieldSpec", "Scalar", "parse_scalar"]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -62,6 +55,8 @@ class FieldSpec:
 
     def __post_init__(self):
         c = self.characteristic
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise TypeError(f"characteristic must be an int, got {type(c).__name__}: {c!r}")
         if c >= MAX_CHARACTERISTIC:
             raise ValueError(
                 f"characteristic must be below {MAX_CHARACTERISTIC}, the limit of "
@@ -69,10 +64,6 @@ class FieldSpec:
             )
         if c < 0 or (c != 0 and not _is_prime(c)):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
-
-    @property
-    def is_rational(self) -> bool:
-        return self.characteristic == 0
 
     def zero(self) -> "Scalar":
         return Scalar(self, 0)
@@ -176,33 +167,8 @@ class Scalar:
             return str(self.value)
         return f"{self.value} mod {self.spec.characteristic}"
 
-    def bare(self) -> str:
-        """Textual form without the "mod p" suffix, for use in element strings."""
-        return str(self.value)
-
     def __repr__(self) -> str:
         return f"Scalar({self.spec}, {self.value})"
-
-
-def field_arith(a: Scalar, b: Scalar, op: str) -> Scalar:
-    """Dispatch one of the four field operations by name."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown field operation {op!r}")
-
-
-def from_int(m: int, spec: FieldSpec) -> Scalar:
-    return spec.from_int(m)
-
-
-def char_divides(spec: FieldSpec, m: int) -> bool:
-    return spec.divides(m)
 
 
 def parse_scalar(text: str, spec: FieldSpec) -> Scalar:

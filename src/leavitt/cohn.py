@@ -21,14 +21,12 @@ from math import lcm
 from typing import Dict, Optional
 
 from .coeffs import FieldSpec, Scalar
-from .words import Word, random_word
+from .words import Word, _check_alphabet, _checked_letters, random_word
 
 __all__ = [
     "Monomial",
     "CohnElement",
-    "bracket",
     "ideal_generator",
-    "degree_split",
     "random_element",
     "x_word",
     "y_word",
@@ -42,6 +40,22 @@ def _order(key):
     """Print order of a raw monomial (xs, ys): degree, then length-lex x, then y."""
     xs, ys = key
     return (len(xs) - len(ys), len(xs), xs, len(ys), ys)
+
+
+def _raw_one(spec: FieldSpec):
+    """The raw value of 1 in the field: a Fraction over Q, an int over F_p."""
+    return 1 if spec.characteristic else Fraction(1)
+
+
+def _absorb(out: Dict, m, c, p: int) -> None:
+    """Add the raw value c into out[m], keeping the map free of zeros."""
+    acc = out.get(m)
+    if acc is not None:
+        c = (acc + c) % p if p else acc + c
+        if not c:
+            del out[m]
+            return
+    out[m] = c
 
 
 def _mono_text(xs, ys) -> str:
@@ -65,11 +79,6 @@ class Monomial:
         self.xs = xs
         self.ys = ys
 
-    @classmethod
-    def identity(cls, n: int) -> "Monomial":
-        e = Word.empty(n)
-        return cls(e, e)
-
     @property
     def n(self) -> int:
         return self.xs.n
@@ -78,9 +87,6 @@ class Monomial:
     def degree(self) -> int:
         # x-letters count +1, y-letters -1
         return len(self.xs) - len(self.ys)
-
-    def sort_key(self):
-        return _order((self.xs.letters, self.ys.letters))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.xs == other.xs and self.ys == other.ys
@@ -127,8 +133,7 @@ class CohnElement:
     __slots__ = ("spec", "n", "_terms")
 
     def __init__(self, spec: FieldSpec, n: int, terms: Mapping):
-        if n < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {n}")
+        _check_alphabet(n)
         raw = {}
         for m, c in terms.items():
             if not isinstance(m, Monomial):
@@ -160,11 +165,13 @@ class CohnElement:
 
     @classmethod
     def zero(cls, n: int, spec: FieldSpec) -> "CohnElement":
-        return cls(spec, n, {})
+        _check_alphabet(n)
+        return cls._raw(spec, n, {})
 
     @classmethod
     def one(cls, n: int, spec: FieldSpec) -> "CohnElement":
-        return cls(spec, n, {Monomial.identity(n): spec.one()})
+        _check_alphabet(n)
+        return cls._raw(spec, n, {((), ()): _raw_one(spec)})
 
     @classmethod
     def from_monomial(
@@ -194,19 +201,12 @@ class CohnElement:
         p = self.spec.characteristic
         out = dict(self._terms)
         for m, c in other._terms.items():
-            acc = out.get(m)
-            if acc is None:
-                out[m] = c
-                continue
-            acc = (acc + c) % p if p else acc + c
-            if acc:
-                out[m] = acc
-            else:
-                del out[m]
+            _absorb(out, m, c, p)
         return self._like(out)
 
     def __neg__(self) -> "CohnElement":
-        return self.scale(-self.spec.one())
+        p = self.spec.characteristic
+        return self._like({m: p - c if p else -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "CohnElement") -> "CohnElement":
         self._check(other)
@@ -217,9 +217,13 @@ class CohnElement:
             raise TypeError(f"expected Scalar, got {type(s).__name__}")
         if s.spec != self.spec:
             raise ValueError(f"mismatched fields: {self.spec} vs {s.spec}")
-        if s.is_zero():
+        return self._times(s.value)
+
+    def _times(self, v) -> "CohnElement":
+        """Multiply every coefficient by v, an int (reduced mod p over F_p) or a Fraction."""
+        if not v:
             return self.zero_like()
-        p, v = self.spec.characteristic, s.value
+        p = self.spec.characteristic
         if p:
             return self._like({m: v * c % p for m, c in self._terms.items()})
         return self._like({m: v * c for m, c in self._terms.items()})
@@ -227,10 +231,10 @@ class CohnElement:
     def __mul__(self, other):
         if isinstance(other, Scalar):
             return self.scale(other)
-        if isinstance(other, int):
-            return self.scale(self.spec.from_int(other))
-        self._check(other)
         p = self.spec.characteristic
+        if isinstance(other, int):
+            return self._times(other % p if p else other)
+        self._check(other)
         left, right = self._terms, other._terms
         if p == 0:
             # Integer numerators over a common denominator per factor, so
@@ -336,38 +340,31 @@ class CohnElement:
         return f"<CohnElement n={self.n} over {self.spec}: {self}>"
 
 
-def bracket(a: CohnElement, b: CohnElement) -> CohnElement:
-    """Commutator ab - ba."""
-    return a.bracket(b)
-
-
-def degree_split(a: CohnElement) -> Dict[int, CohnElement]:
-    return a.degree_split()
-
-
 def x_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, word.n, {(word.letters, ()): spec.one().value})
+    return CohnElement._raw(spec, word.n, {(word.letters, ()): _raw_one(spec)})
 
 
 def y_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, word.n, {((), word.letters): spec.one().value})
+    return CohnElement._raw(spec, word.n, {((), word.letters): _raw_one(spec)})
 
 
 def x_gen(i: int, n: int, spec: FieldSpec) -> CohnElement:
-    return x_word(Word((i,), n), spec)
+    return CohnElement._raw(spec, n, {(_checked_letters((i,), n), ()): _raw_one(spec)})
 
 
 def y_gen(i: int, n: int, spec: FieldSpec) -> CohnElement:
-    return y_word(Word((i,), n), spec)
+    return CohnElement._raw(spec, n, {((), _checked_letters((i,), n)): _raw_one(spec)})
 
 
 def ideal_generator(n: int, spec: FieldSpec) -> CohnElement:
     """The element 1 - sum_i x_i y_i whose two-sided ideal defines the Leavitt quotient."""
-    terms = {Monomial.identity(n): spec.one()}
+    _check_alphabet(n)
+    one = _raw_one(spec)
+    minus_one = spec.characteristic - 1 if spec.characteristic else -one
+    terms = {((), ()): one}
     for i in range(1, n + 1):
-        w = Word((i,), n)
-        terms[Monomial(w, w)] = -spec.one()
-    return CohnElement(spec, n, terms)
+        terms[((i,), (i,))] = minus_one
+    return CohnElement._raw(spec, n, terms)
 
 
 def random_element(
@@ -441,20 +438,23 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
     tokens = _tokenize_element(text)
     if not tokens:
         raise ValueError("empty element text")
-    out = CohnElement.zero(n, spec)
+    _check_alphabet(n)
+    p = spec.characteristic
+    one = _raw_one(spec)
+    out: Dict = {}
     idx = 0
     first = True
     while idx < len(tokens):
-        sign = 1
+        sign = one
         kind, _ = tokens[idx]
         if kind in "+-":
-            if not first or kind == "-":
-                sign = -1 if kind == "-" else 1
+            if kind == "-":
+                sign = p - 1 if p else -one
             idx += 1
         elif not first:
             raise ValueError(f"expected '+' or '-' between terms, got {kind!r}")
         first = False
-        term = CohnElement.one(n, spec)
+        term = CohnElement._raw(spec, n, {((), ()): sign})
         expect_factor = True
         while idx < len(tokens):
             kind, val = tokens[idx]
@@ -469,26 +469,25 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
             if not expect_factor:
                 raise ValueError(f"missing '*' before {kind!r} factor")
             if kind == "int":
-                num = val
+                coeff = val % p if p else val
                 if idx + 2 < len(tokens) and tokens[idx + 1][0] == "/" and tokens[idx + 2][0] == "int":
                     den = tokens[idx + 2][1]
                     idx += 2
-                    if spec.characteristic == 0:
-                        coeff = Scalar(spec, Fraction(num, den))
+                    if p:
+                        coeff = (spec.from_int(val) / spec.from_int(den)).value
                     else:
-                        coeff = spec.from_int(num) / spec.from_int(den)
-                else:
-                    coeff = spec.from_int(num)
-                term = term.scale(coeff)
-            elif kind == "x":
-                term = term * x_word(Word(val, n), spec)
-            elif kind == "y":
-                term = term * y_word(Word(val, n), spec)
+                        coeff = Fraction(val, den)
+                term = term._times(coeff)
+            elif kind in ("x", "y"):
+                letters = _checked_letters(val, n)
+                key = (letters, ()) if kind == "x" else ((), letters)
+                term = term * CohnElement._raw(spec, n, {key: one})
             else:
                 raise ValueError(f"unexpected {kind!r} in element text")
             idx += 1
             expect_factor = False
         if expect_factor:
             raise ValueError("dangling operator in element text")
-        out = out + (term.scale(-spec.one()) if sign < 0 else term)
-    return out
+        for m, c in term._terms.items():
+            _absorb(out, m, c, p)
+    return CohnElement._raw(spec, n, out)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar
-from .cohn import CohnElement, _mono_text, _order, x_word, y_word
+from .cohn import CohnElement, _absorb, _mono_text, _order, x_gen, x_word, y_gen
 from .words import Word
 
 __all__ = [
@@ -62,16 +62,6 @@ def _reduce(element: CohnElement, trace: Optional[List[RewriteStep]]) -> CohnEle
     # junction-free terms are copied through; rewriting never yields a junction
     out = dict(element._terms)
     junctions = [(m, out.pop(m)) for m in element._terms if _has_junction(*m, n)]
-
-    def add(m, c) -> None:
-        acc = out.get(m)
-        if acc is not None:
-            c = (acc + c) % p if p else acc + c
-            if not c:
-                del out[m]
-                return
-        out[m] = c
-
     for (left, right), c in junctions:
         neg = p - c if p else -c
         while _has_junction(left, right, n):
@@ -79,8 +69,8 @@ def _reduce(element: CohnElement, trace: Optional[List[RewriteStep]]) -> CohnEle
             if trace is not None:
                 trace.append(RewriteStep(Scalar(spec, neg), Word(left, n), Word(right, n)))
             for i in range(1, n):
-                add((left + (i,), (i,) + right), neg)
-        add((left, right), c)
+                _absorb(out, (left + (i,), (i,) + right), neg, p)
+        _absorb(out, (left, right), c, p)
     return CohnElement._raw(spec, n, out)
 
 
@@ -132,11 +122,11 @@ class LeavittElement:
 
     @classmethod
     def x_gen(cls, i: int, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls._wrap(x_word(Word((i,), n), spec))
+        return cls._wrap(x_gen(i, n, spec))
 
     @classmethod
     def y_gen(cls, i: int, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls._wrap(y_word(Word((i,), n), spec))
+        return cls._wrap(y_gen(i, n, spec))
 
     @property
     def spec(self) -> FieldSpec:

@@ -255,6 +255,10 @@ class SessionConfig:
     mode: str = "leavitt"
 
     def __post_init__(self):
+        for name in ("n", "d"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}: {value!r}")
         if self.n < 2:
             raise ValueError(f"algebra order must be at least 2, got {self.n}")
         if self.d < 1:
@@ -268,39 +272,6 @@ class SessionConfig:
         return FieldSpec(self.characteristic)
 
 
-def _evaluate_in(node: Expression, cfg: SessionConfig, leavitt: bool):
-    spec, n = cfg.spec, cfg.n
-    if leavitt:
-        one = LeavittElement.one(n, spec)
-        gen = {"x": LeavittElement.x_gen, "y": LeavittElement.y_gen}
-    else:
-        one = CohnElement.one(n, spec)
-        gen = {"x": cohn_x, "y": cohn_y}
-    if isinstance(node, IntLit):
-        return one * node.value
-    if isinstance(node, Gen):
-        if not 1 <= node.index <= n:
-            raise ValueError(
-                f"generator index {node.index} outside [1, {n}]"
-            )
-        return gen[node.kind](node.index, n, spec)
-    if isinstance(node, BinOp):
-        left = _evaluate_in(node.left, cfg, leavitt)
-        right = _evaluate_in(node.right, cfg, leavitt)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    if isinstance(node, Power):
-        return _evaluate_in(node.base, cfg, leavitt) ** node.exponent
-    if isinstance(node, LieBracket):
-        left = _evaluate_in(node.left, cfg, leavitt)
-        right = _evaluate_in(node.right, cfg, leavitt)
-        return left.bracket(right)
-    raise TypeError(f"unknown expression node {node!r}")
-
-
 def evaluate(node: Expression, cfg: SessionConfig):
     """Evaluate an expression in the configured algebra.
 
@@ -309,10 +280,38 @@ def evaluate(node: Expression, cfg: SessionConfig):
     algebra and embeds the result diagonally into the d x d matrix ring
     (the unital embedding), so scalar identities can be probed at any d.
     """
+    spec, n = cfg.spec, cfg.n
     if cfg.mode == "cohn":
-        return _evaluate_in(node, cfg, leavitt=False)
-    value = _evaluate_in(node, cfg, leavitt=True)
-    if cfg.mode == "leavitt":
-        return value
-    return identity_matrix(value, cfg.d)
+        one = CohnElement.one(n, spec)
+        gen = {"x": cohn_x, "y": cohn_y}
+    else:
+        one = LeavittElement.one(n, spec)
+        gen = {"x": LeavittElement.x_gen, "y": LeavittElement.y_gen}
 
+    def walk(node: Expression):
+        if isinstance(node, IntLit):
+            return one * node.value
+        if isinstance(node, Gen):
+            if not 1 <= node.index <= n:
+                raise ValueError(
+                    f"generator index {node.index} outside [1, {n}]"
+                )
+            return gen[node.kind](node.index, n, spec)
+        if isinstance(node, BinOp):
+            left = walk(node.left)
+            right = walk(node.right)
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            return left * right
+        if isinstance(node, Power):
+            return walk(node.base) ** node.exponent
+        if isinstance(node, LieBracket):
+            return walk(node.left).bracket(walk(node.right))
+        raise TypeError(f"unknown expression node {node!r}")
+
+    value = walk(node)
+    if cfg.mode == "matrix":
+        return identity_matrix(value, cfg.d)
+    return value

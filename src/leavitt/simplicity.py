@@ -161,12 +161,26 @@ def witness_to_doc(witness: BracketWitness) -> Dict:
 
 
 def witness_from_doc(doc: Dict) -> BracketWitness:
-    """Rebuild a witness from its serialized document."""
+    """Rebuild a witness from its serialized document.
+
+    A document of the wrong shape or field types raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed witness document: expected a dict, got {type(doc).__name__}")
+    for key in ("characteristic", "n", "d"):
+        value = doc.get(key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"malformed witness document: {key!r} must be an int, got {value!r}")
+    doc_pairs = doc.get("pairs")
+    if not isinstance(doc_pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in doc_pairs
+    ):
+        raise ValueError("malformed witness document: 'pairs' must be a list of 2-element lists")
     spec = FieldSpec(doc["characteristic"])
     n, d = doc["n"], doc["d"]
     _validate_shape(n, d)
     pairs = []
-    for left_rows, right_rows in doc["pairs"]:
+    for left_rows, right_rows in doc_pairs:
         left = matrix_from_strings(left_rows, n, spec, leavitt=True)
         right = matrix_from_strings(right_rows, n, spec, leavitt=True)
         if left.d != d or right.d != d:

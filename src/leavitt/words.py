@@ -3,10 +3,24 @@
 from __future__ import annotations
 
 import random
-from enum import Enum
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Tuple
 
-__all__ = ["Word", "Relation", "CompareResult", "concat", "rev", "compare", "random_word"]
+__all__ = ["Word", "random_word"]
+
+
+def _check_alphabet(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {n}")
+
+
+def _checked_letters(letters, n: int) -> Tuple[int, ...]:
+    """The letters as an int tuple, each checked to lie in {1..n}."""
+    _check_alphabet(n)
+    letters = tuple(int(i) for i in letters)
+    for i in letters:
+        if not 1 <= i <= n:
+            raise ValueError(f"letter {i} outside alphabet [1, {n}]")
+    return letters
 
 
 class Word:
@@ -19,13 +33,7 @@ class Word:
     __slots__ = ("letters", "n")
 
     def __init__(self, letters, n: int):
-        if n < 2:
-            raise ValueError(f"alphabet size must be at least 2, got {n}")
-        letters = tuple(int(i) for i in letters)
-        for i in letters:
-            if not 1 <= i <= n:
-                raise ValueError(f"letter {i} outside alphabet [1, {n}]")
-        self.letters = letters
+        self.letters = _checked_letters(letters, n)
         self.n = n
 
     @classmethod
@@ -64,55 +72,6 @@ class Word:
 
     def __repr__(self) -> str:
         return "[" + ",".join(str(i) for i in self.letters) + "]"
-
-
-class Relation(Enum):
-    EQUAL = "equal"
-    LEFT_PREFIX_OF_RIGHT = "left-prefix-of-right"
-    RIGHT_PREFIX_OF_LEFT = "right-prefix-of-left"
-    INCOMPARABLE = "incomparable"
-
-
-class CompareResult(NamedTuple):
-    relation: Relation
-    remainder: Optional[Word]
-
-    @property
-    def comparable(self) -> bool:
-        return self.relation is not Relation.INCOMPARABLE
-
-
-def concat(a: Word, b: Word) -> Word:
-    return a.concat(b)
-
-
-def rev(a: Word) -> Word:
-    return a.rev()
-
-
-def compare(a: Word, b: Word) -> CompareResult:
-    """Locate a and b in the prefix order of the free monoid.
-
-    Returns EQUAL when a = b, LEFT_PREFIX_OF_RIGHT with the unique
-    remainder k when b = a k, RIGHT_PREFIX_OF_LEFT with the unique k when
-    a = b k, and INCOMPARABLE (remainder None) when neither is a prefix of
-    the other.
-    """
-    a._check(b)
-    la, lb = len(a.letters), len(b.letters)
-    if la == lb:
-        if a.letters == b.letters:
-            return CompareResult(Relation.EQUAL, Word.empty(a.n))
-        return CompareResult(Relation.INCOMPARABLE, None)
-    if la < lb:
-        if b.letters[:la] == a.letters:
-            return CompareResult(
-                Relation.LEFT_PREFIX_OF_RIGHT, Word(b.letters[la:], a.n)
-            )
-        return CompareResult(Relation.INCOMPARABLE, None)
-    if a.letters[:lb] == b.letters:
-        return CompareResult(Relation.RIGHT_PREFIX_OF_LEFT, Word(a.letters[lb:], a.n))
-    return CompareResult(Relation.INCOMPARABLE, None)
 
 
 def random_word(n: int, max_len: int, rng: random.Random) -> Word:

@@ -6,11 +6,10 @@ import pytest
 from leavitt import (
     CohnElement,
     FieldSpec,
+    LeavittElement,
     Monomial,
     Scalar,
     Word,
-    bracket,
-    degree_split,
     ideal_generator,
     parse_element,
     random_element,
@@ -177,11 +176,11 @@ def test_bracket_is_alternating():
     rng = random.Random(29)
     for _ in range(50):
         a = random_cohn(3, F5, rng)
-        assert bracket(a, a).is_zero()
+        assert a.bracket(a).is_zero()
 
 
 def test_bracket_of_x_and_y_generator():
-    got = bracket(x_gen(1, 3, Q), y_gen(1, 3, Q))
+    got = x_gen(1, 3, Q).bracket(y_gen(1, 3, Q))
     assert got == elem((1,), (1,)) - CohnElement.one(3, Q)
 
 
@@ -190,7 +189,7 @@ def test_identity_is_central():
     one = CohnElement.one(3, Q)
     for _ in range(50):
         b = random_cohn(3, Q, rng)
-        assert bracket(one, b).is_zero()
+        assert one.bracket(b).is_zero()
 
 
 def test_bracket_bilinear_and_jacobi():
@@ -199,12 +198,12 @@ def test_bracket_bilinear_and_jacobi():
         spec = FieldSpec(rng.choice((0, 2, 3)))
         a, b, c = (random_cohn(2, spec, rng) for _ in range(3))
         s = random_scalar(spec, rng)
-        assert bracket(a + b, c) == bracket(a, c) + bracket(b, c)
-        assert bracket(a.scale(s), b) == bracket(a, b).scale(s)
+        assert (a + b).bracket(c) == a.bracket(c) + b.bracket(c)
+        assert a.scale(s).bracket(b) == a.bracket(b).scale(s)
         jacobi = (
-            bracket(bracket(a, b), c)
-            + bracket(bracket(b, c), a)
-            + bracket(bracket(c, a), b)
+            a.bracket(b).bracket(c)
+            + b.bracket(c).bracket(a)
+            + c.bracket(a).bracket(b)
         )
         assert jacobi.is_zero()
 
@@ -283,12 +282,12 @@ def test_degree_of_monomial():
 
 def test_degree_split_of_identity():
     one = CohnElement.one(3, Q)
-    assert degree_split(one) == {0: one}
+    assert one.degree_split() == {0: one}
 
 
 def test_degree_split_example():
     a = elem((1,), ()) + elem((), (1,))
-    split = degree_split(a)
+    split = a.degree_split()
     assert set(split) == {1, -1}
     assert split[1] == elem((1,), ())
     assert split[-1] == elem((), (1,))
@@ -373,3 +372,58 @@ def test_parse_element_rejects_garbage():
     for bad in ("", "x[", "x[]", "1 +", "* x[1]", "x[1] y[2]", "q"):
         with pytest.raises(ValueError):
             parse_element(bad, 3, Q)
+
+
+@pytest.mark.parametrize(
+    "text, n, p, error, message",
+    [
+        ("x[1] + 2*y[1,3]", 2, 0, ValueError, "letter 3 outside alphabet [1, 2]"),
+        ("x[0]", 3, 5, ValueError, "letter 0 outside alphabet [1, 3]"),
+        ("1/0*x[1]", 2, 0, ZeroDivisionError, "Fraction(1, 0)"),
+        ("x[1] - 2/5", 2, 5, ZeroDivisionError, "division by zero in F5"),
+        ("x[]", 2, 0, ValueError, "empty generator word in 'x[]'"),
+        ("x[1]*", 2, 0, ValueError, "dangling operator in element text"),
+        ("x[1] + ", 2, 3, ValueError, "dangling operator in element text"),
+        ("x[1]", 1, 0, ValueError, "alphabet size must be at least 2, got 1"),
+    ],
+)
+def test_parse_element_error_messages(text, n, p, error, message):
+    with pytest.raises(error) as info:
+        parse_element(text, n, FieldSpec(p))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def _assert_canonical(e):
+    p = e.spec.characteristic
+    for (xs, ys), v in e._terms.items():
+        assert all(type(i) is int for i in xs + ys)
+        assert type(v) is (int if p else Fraction) and v != 0
+        assert not p or 0 < v < p
+
+
+def test_builders_give_canonical_raw_terms():
+    rng = random.Random(67)
+    for p in (0, 2, 5, 7):
+        spec = FieldSpec(p)
+        for e in (CohnElement.one(3, spec), x_gen(2, 3, spec), y_gen(3, 3, spec), ideal_generator(3, spec)):
+            _assert_canonical(e)
+        for _ in range(30):
+            a = random_cohn(3, spec, rng)
+            k = rng.randint(-9, 9)
+            scaled = a.scale(spec.from_int(k))
+            for got, want in ((-a, a.scale(-spec.one())), (a * k, scaled), (k * a, scaled)):
+                assert got == want
+                _assert_canonical(got)
+            _assert_canonical(parse_element(str(a), 3, spec))
+            _assert_canonical(parse_element(f"{k}*x[1]*y[2] - 1/3*y[1] + 2", 3, spec))
+
+
+def test_builders_keep_their_input_checks():
+    for build in (CohnElement.one, CohnElement.zero, ideal_generator):
+        with pytest.raises(ValueError, match="alphabet size must be at least 2, got 1"):
+            build(1, Q)
+    for gen in (x_gen, y_gen, LeavittElement.x_gen, LeavittElement.y_gen):
+        with pytest.raises(ValueError, match=r"letter 3 outside alphabet \[1, 2\]"):
+            gen(3, 2, Q)
+        with pytest.raises(ValueError, match=r"letter 0 outside alphabet \[1, 2\]"):
+            gen(0, 2, Q)

@@ -175,6 +175,13 @@ def test_session_config_validation():
         SessionConfig(mode="weird")
 
 
+def test_session_config_rejects_non_integer_sizes():
+    for kwargs, name in (({"n": 2.5}, "float"), ({"d": 1.0}, "float"), ({"n": True}, "bool"),
+                         ({"d": "2"}, "str"), ({"characteristic": 2.0}, "float")):
+        with pytest.raises(TypeError, match=name):
+            SessionConfig(**kwargs)
+
+
 @pytest.mark.parametrize(
     "build",
     [

@@ -128,6 +128,31 @@ def test_witness_document_round_trip():
         assert witness_to_doc(rebuilt) == doc
 
 
+_GOOD_DOC = witness_to_doc(build_witness(Q, 2, 1))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda doc: [doc],
+        lambda doc: {**doc, "n": "2"},
+        lambda doc: {**doc, "d": 1.0},
+        lambda doc: {**doc, "characteristic": True},
+        lambda doc: {k: v for k, v in doc.items() if k != "characteristic"},
+        lambda doc: {**doc, "pairs": [1]},
+        lambda doc: {**doc, "pairs": [doc["pairs"][0][:1]]},
+        lambda doc: {**doc, "pairs": "[]"},
+        lambda doc: {k: v for k, v in doc.items() if k != "pairs"},
+    ],
+    ids=["list", "str-n", "float-d", "bool-char", "no-char", "int-pair", "short-pair",
+         "str-pairs", "no-pairs"],
+)
+def test_malformed_witness_document_rejected(change):
+    doc = change(json.loads(json.dumps(_GOOD_DOC)))
+    with pytest.raises(ValueError, match="^malformed witness document: "):
+        witness_from_doc(doc)
+
+
 def test_trace_obstruction_blocks_witnesses_in_simple_configurations():
     rng = random.Random(23)
     for n, p, d in ((3, 2, 1), (4, 3, 2), (3, 2, 3)):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from leavitt import Relation, Word, compare, concat, rev
+from leavitt import Word
 from leavitt.words import random_word
 
 
@@ -24,47 +24,20 @@ def test_construction_validates_letters():
 
 
 def test_concat_examples():
-    assert concat(EMPTY, w((2, 1))) == w((2, 1))
-    assert concat(w((1, 2)), w((3,))) == w((1, 2, 3))
-    assert concat(w((1,)), w((1,))) == w((1, 1))
+    assert EMPTY * w((2, 1)) == w((2, 1))
+    assert w((1, 2)).concat(w((3,))) == w((1, 2, 3))
+    assert w((1,)) * w((1,)) == w((1, 1))
 
 
 def test_concat_rejects_alphabet_mismatch():
     with pytest.raises(ValueError):
-        concat(Word((1,), 2), Word((1,), 3))
-    with pytest.raises(ValueError):
-        compare(Word((1,), 2), Word((1,), 3))
+        Word((1,), 2) * Word((1,), 3)
 
 
 def test_rev_examples():
-    assert rev(w((1, 2, 3))) == w((3, 2, 1))
-    assert rev(EMPTY) == EMPTY
-    assert rev(w((2, 2))) == w((2, 2))
-
-
-def test_compare_examples():
-    res = compare(w((1,)), w((1, 2)))
-    assert res.relation is Relation.LEFT_PREFIX_OF_RIGHT
-    assert res.remainder == w((2,))
-    assert compare(w((1, 2)), w((1, 3))).relation is Relation.INCOMPARABLE
-    assert compare(EMPTY, EMPTY).relation is Relation.EQUAL
-
-
-def test_compare_prefix_remainder_round_trip():
-    rng = random.Random(3)
-    for _ in range(300):
-        n = rng.randint(2, 5)
-        a = random_word(n, 6, rng)
-        k = random_word(n, 6, rng)
-        if len(k) == 0:
-            assert compare(a, a * k).relation is Relation.EQUAL
-            continue
-        res = compare(a, a * k)
-        assert res.relation is Relation.LEFT_PREFIX_OF_RIGHT
-        assert res.remainder == k
-        mirrored = compare(a * k, a)
-        assert mirrored.relation is Relation.RIGHT_PREFIX_OF_LEFT
-        assert mirrored.remainder == k
+    assert w((1, 2, 3)).rev() == w((3, 2, 1))
+    assert EMPTY.rev() == EMPTY
+    assert w((2, 2)).rev() == w((2, 2))
 
 
 def test_rev_is_an_involution_and_antihomomorphism():
@@ -73,22 +46,8 @@ def test_rev_is_an_involution_and_antihomomorphism():
         n = rng.randint(2, 5)
         a = random_word(n, 6, rng)
         b = random_word(n, 6, rng)
-        assert rev(rev(a)) == a
-        assert rev(a * b) == rev(b) * rev(a)
-
-
-def test_incomparable_is_symmetric():
-    rng = random.Random(8)
-    for _ in range(300):
-        n = rng.randint(2, 4)
-        a = random_word(n, 5, rng)
-        b = random_word(n, 5, rng)
-        ab = compare(a, b)
-        ba = compare(b, a)
-        assert ab.comparable == ba.comparable
-        if ab.relation is Relation.LEFT_PREFIX_OF_RIGHT:
-            assert ba.relation is Relation.RIGHT_PREFIX_OF_LEFT
-            assert ab.remainder == ba.remainder
+        assert a.rev().rev() == a
+        assert (a * b).rev() == b.rev() * a.rev()
 
 
 def test_text_form():
