@@ -14,16 +14,9 @@ import os
 import sys
 from typing import Dict, List, Optional
 
+# Each command imports the modules beyond the parser that it runs, inside
+# its handler, as a process runs exactly one command.
 from .parser import ParseError, SessionConfig, evaluate, parse
-from .simplicity import (
-    build_witness,
-    is_simple,
-    nontriviality_probe,
-    verify_witness,
-    witness_from_doc,
-    witness_to_doc,
-)
-from .matrix import MatrixElement, matrix_from_strings
 
 ENV_CHAR = "LEAVITT_CHAR"
 
@@ -99,15 +92,15 @@ def _resolve_config(args: argparse.Namespace) -> SessionConfig:
     )
 
 
-def _result_text(value) -> object:
-    if isinstance(value, MatrixElement):
+def _result_text(value, cfg: SessionConfig) -> object:
+    if cfg.mode == "matrix":
         return value.to_strings()
     return str(value)
 
 
 def _cmd_nf(args) -> object:
     cfg = _resolve_config(args)
-    return _result_text(evaluate(parse(args.expr), cfg))
+    return _result_text(evaluate(parse(args.expr), cfg), cfg)
 
 
 def _cmd_trace(args) -> object:
@@ -119,10 +112,12 @@ def _cmd_bracket(args) -> object:
     cfg = _resolve_config(args)
     left = evaluate(parse(args.left), cfg)
     right = evaluate(parse(args.right), cfg)
-    return _result_text(left.bracket(right))
+    return _result_text(left.bracket(right), cfg)
 
 
 def _cmd_taud(args) -> object:
+    from .matrix import matrix_from_strings
+
     cfg = _resolve_config(args)
     with open(args.matrix_file, "r", encoding="utf-8") as handle:
         rows = json.load(handle)
@@ -131,12 +126,16 @@ def _cmd_taud(args) -> object:
 
 
 def _cmd_simple(args) -> object:
+    from .simplicity import is_simple
+
     cfg = _resolve_config(args)
     verdict = is_simple(cfg.spec, cfg.n, cfg.d)
     return {"simple": verdict.simple, "reason": verdict.reason.value}
 
 
 def _cmd_witness(args) -> object:
+    from .simplicity import build_witness, verify_witness, witness_from_doc, witness_to_doc
+
     cfg = _resolve_config(args)
     witness = build_witness(cfg.spec, cfg.n, cfg.d)
     doc = witness_to_doc(witness)
@@ -155,6 +154,8 @@ def _parse_range(text: str, flag: str) -> range:
 
 
 def _cmd_grid(args) -> object:
+    from .simplicity import build_witness, is_simple, nontriviality_probe, verify_witness
+
     chars = [_int_setting(c, "--chars") for c in args.chars.split(",") if c.strip() != ""]
     n_range = _parse_range(args.n_range, "--n-range")
     d_range = _parse_range(args.d_range, "--d-range")

@@ -6,8 +6,8 @@ anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Dict
 
 __all__ = ["FieldSpec", "Scalar", "parse_scalar"]
 
@@ -43,20 +43,29 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+# The one FieldSpec of each characteristic accepted so far.
+_FIELDS: Dict[int, "FieldSpec"] = {}
+
+
 class FieldSpec:
     """Coefficient field, identified by its characteristic.
 
     Characteristic 0 means the rationals; a prime p means the field of
-    residues mod p.  Any other characteristic is rejected.
+    residues mod p.  Any other characteristic is rejected.  There is one
+    instance per characteristic, so a characteristic is checked once per
+    process, and equality and hashing are those of identity.
     """
 
-    characteristic: int = 0
+    __slots__ = ("characteristic",)
 
-    def __post_init__(self):
-        c = self.characteristic
+    def __new__(cls, characteristic: int = 0) -> "FieldSpec":
+        c = characteristic
+        # Type first: 2.0 and True would otherwise find the instances for 2 and 1.
         if isinstance(c, bool) or not isinstance(c, int):
             raise TypeError(f"characteristic must be an int, got {type(c).__name__}: {c!r}")
+        spec = _FIELDS.get(c)
+        if spec is not None:
+            return spec
         if c >= MAX_CHARACTERISTIC:
             raise ValueError(
                 f"characteristic must be below {MAX_CHARACTERISTIC}, the limit of "
@@ -64,6 +73,21 @@ class FieldSpec:
             )
         if c < 0 or (c != 0 and not _is_prime(c)):
             raise ValueError(f"characteristic must be 0 or a prime, got {c}")
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "characteristic", c)
+        return _FIELDS.setdefault(c, spec)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FieldSpec, (self.characteristic,)
+
+    def __repr__(self) -> str:
+        return f"FieldSpec(characteristic={self.characteristic!r})"
 
     def zero(self) -> "Scalar":
         return Scalar(self, 0)

@@ -13,7 +13,6 @@ their input; ring operations build results through the trusted `_raw`.
 
 from __future__ import annotations
 
-import random
 import re
 from collections.abc import Mapping
 from fractions import Fraction
@@ -21,13 +20,12 @@ from math import lcm
 from typing import Dict, Optional
 
 from .coeffs import FieldSpec, Scalar
-from .words import Word, _check_alphabet, _checked_letters, random_word
+from .words import Word, _check_alphabet, _checked_letters
 
 __all__ = [
     "Monomial",
     "CohnElement",
     "ideal_generator",
-    "random_element",
     "x_word",
     "y_word",
     "x_gen",
@@ -365,37 +363,6 @@ def ideal_generator(n: int, spec: FieldSpec) -> CohnElement:
     for i in range(1, n + 1):
         terms[((i,), (i,))] = minus_one
     return CohnElement._raw(spec, n, terms)
-
-
-def random_element(
-    n: int,
-    spec: FieldSpec,
-    max_word_len: int,
-    max_terms: int,
-    seed,
-) -> CohnElement:
-    """A reproducible pseudo-random element within the given bounds.
-
-    Draws max_terms monomials with word lengths at most max_word_len and
-    nonzero coefficients; repeated draws of the same monomial may cancel,
-    so max_terms is an upper bound on the support size.
-    """
-    if max_word_len < 0 or max_terms < 0:
-        raise ValueError("bounds must be non-negative")
-    rng = random.Random(seed)
-    out = CohnElement.zero(n, spec)
-    for _ in range(max_terms):
-        mono = Monomial(random_word(n, max_word_len, rng), random_word(n, max_word_len, rng))
-        out = out + CohnElement.from_monomial(mono, spec, _random_nonzero_scalar(spec, rng))
-    return out
-
-
-def _random_nonzero_scalar(spec: FieldSpec, rng: random.Random) -> Scalar:
-    p = spec.characteristic
-    if p == 0:
-        num = rng.choice([i for i in range(-6, 7) if i != 0])
-        return Scalar(spec, Fraction(num, rng.randint(1, 4)))
-    return Scalar(spec, rng.randint(1, p - 1)) if p > 2 else spec.one()
 
 
 # --- canonical element text -------------------------------------------------

@@ -15,13 +15,9 @@ Juxtaposition is not multiplication: "x1 y2" is a syntax error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from .coeffs import FieldSpec
-from .cohn import CohnElement, x_gen as cohn_x, y_gen as cohn_y
-from .leavitt import LeavittElement
-from .matrix import identity_matrix
 
 __all__ = [
     "ParseError",
@@ -53,32 +49,27 @@ class ParseError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(NamedTuple):
     kind: str  # "x" or "y"
     index: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # "+", "-" or "*"
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(NamedTuple):
     base: "Expression"
     exponent: int
 
 
-@dataclass(frozen=True)
-class LieBracket:
+class LieBracket(NamedTuple):
     left: "Expression"
     right: "Expression"
 
@@ -245,27 +236,50 @@ def print_expression(node: Expression) -> str:
 _MODES = ("cohn", "leavitt", "matrix")
 
 
-@dataclass(frozen=True)
 class SessionConfig:
-    """Evaluation context: alphabet size, matrix dimension, field, mode."""
+    """Evaluation context: alphabet size, matrix dimension, field, mode.
 
-    n: int = 2
-    d: int = 1
-    characteristic: int = 0
-    mode: str = "leavitt"
+    Immutable, compared and hashed by value.
+    """
 
-    def __post_init__(self):
-        for name in ("n", "d"):
-            value = getattr(self, name)
+    __slots__ = ("n", "d", "characteristic", "mode")
+
+    def __init__(self, n: int = 2, d: int = 1, characteristic: int = 0, mode: str = "leavitt"):
+        for name, value in (("n", n), ("d", d)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}: {value!r}")
-        if self.n < 2:
-            raise ValueError(f"algebra order must be at least 2, got {self.n}")
-        if self.d < 1:
-            raise ValueError(f"matrix dimension must be at least 1, got {self.d}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        FieldSpec(self.characteristic)  # validates primality
+        if n < 2:
+            raise ValueError(f"algebra order must be at least 2, got {n}")
+        if d < 1:
+            raise ValueError(f"matrix dimension must be at least 1, got {d}")
+        if mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+        FieldSpec(characteristic)  # validates primality
+        for name, value in zip(self.__slots__, (n, d, characteristic, mode)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> Tuple[int, int, int, str]:
+        return self.n, self.d, self.characteristic, self.mode
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SessionConfig, self._fields()
+
+    def __repr__(self) -> str:
+        return "SessionConfig(n={!r}, d={!r}, characteristic={!r}, mode={!r})".format(*self._fields())
 
     @property
     def spec(self) -> FieldSpec:
@@ -281,10 +295,16 @@ def evaluate(node: Expression, cfg: SessionConfig):
     (the unital embedding), so scalar identities can be probed at any d.
     """
     spec, n = cfg.spec, cfg.n
+    # Each mode imports only the algebra it evaluates in, so that a CLI
+    # process loads no module its command does not run.
     if cfg.mode == "cohn":
+        from .cohn import CohnElement, x_gen, y_gen
+
         one = CohnElement.one(n, spec)
-        gen = {"x": cohn_x, "y": cohn_y}
+        gen = {"x": x_gen, "y": y_gen}
     else:
+        from .leavitt import LeavittElement
+
         one = LeavittElement.one(n, spec)
         gen = {"x": LeavittElement.x_gen, "y": LeavittElement.y_gen}
 
@@ -313,5 +333,7 @@ def evaluate(node: Expression, cfg: SessionConfig):
 
     value = walk(node)
     if cfg.mode == "matrix":
+        from .matrix import identity_matrix
+
         return identity_matrix(value, cfg.d)
     return value

@@ -12,9 +12,8 @@ every bracket yet sends the identity to d * 1, which is nonzero there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .coeffs import FieldSpec
 from .leavitt import LeavittElement
@@ -39,8 +38,7 @@ class Reason(Enum):
     CHAR_DIVIDES_D = "CharDividesD"
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
+class SimplicityVerdict(NamedTuple):
     simple: bool
     reason: Reason
     spec: FieldSpec
@@ -48,8 +46,7 @@ class SimplicityVerdict:
     d: int
 
 
-@dataclass(frozen=True)
-class BracketWitness:
+class BracketWitness(NamedTuple):
     """Pairs (A_i, B_i) of matrices claimed to satisfy sum [A_i, B_i] = identity."""
 
     spec: FieldSpec

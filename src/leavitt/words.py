@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import random
 from typing import Iterator, Tuple
 
-__all__ = ["Word", "random_word"]
+__all__ = ["Word"]
 
 
 def _check_alphabet(n: int) -> None:
@@ -14,10 +13,12 @@ def _check_alphabet(n: int) -> None:
 
 
 def _checked_letters(letters, n: int) -> Tuple[int, ...]:
-    """The letters as an int tuple, each checked to lie in {1..n}."""
+    """The letters as a tuple, each checked to be an int in {1..n}."""
     _check_alphabet(n)
-    letters = tuple(int(i) for i in letters)
+    letters = tuple(letters)
     for i in letters:
+        if isinstance(i, bool) or not isinstance(i, int):
+            raise TypeError(f"letter must be an int, got {type(i).__name__}: {i!r}")
         if not 1 <= i <= n:
             raise ValueError(f"letter {i} outside alphabet [1, {n}]")
     return letters
@@ -72,9 +73,3 @@ class Word:
 
     def __repr__(self) -> str:
         return "[" + ",".join(str(i) for i in self.letters) + "]"
-
-
-def random_word(n: int, max_len: int, rng: random.Random) -> Word:
-    """A uniformly random length in [0, max_len], then uniform letters."""
-    length = rng.randint(0, max_len)
-    return Word((rng.randint(1, n) for _ in range(length)), n)

@@ -8,7 +8,43 @@ from fractions import Fraction
 from typing import List, Optional
 
 from leavitt import CohnElement, FieldSpec, LeavittElement, Monomial, RewriteStep, Scalar, Word
-from leavitt.words import random_word
+
+
+def random_word(n: int, max_len: int, rng: random.Random) -> Word:
+    """A uniformly random length in [0, max_len], then uniform letters."""
+    length = rng.randint(0, max_len)
+    return Word((rng.randint(1, n) for _ in range(length)), n)
+
+
+def random_element(
+    n: int,
+    spec: FieldSpec,
+    max_word_len: int,
+    max_terms: int,
+    seed,
+) -> CohnElement:
+    """A reproducible pseudo-random element within the given bounds.
+
+    Draws max_terms monomials with word lengths at most max_word_len and
+    nonzero coefficients; repeated draws of the same monomial may cancel,
+    so max_terms is an upper bound on the support size.
+    """
+    if max_word_len < 0 or max_terms < 0:
+        raise ValueError("bounds must be non-negative")
+    rng = random.Random(seed)
+    out = CohnElement.zero(n, spec)
+    for _ in range(max_terms):
+        mono = Monomial(random_word(n, max_word_len, rng), random_word(n, max_word_len, rng))
+        out = out + CohnElement.from_monomial(mono, spec, _random_nonzero_scalar(spec, rng))
+    return out
+
+
+def _random_nonzero_scalar(spec: FieldSpec, rng: random.Random) -> Scalar:
+    p = spec.characteristic
+    if p == 0:
+        num = rng.choice([i for i in range(-6, 7) if i != 0])
+        return Scalar(spec, Fraction(num, rng.randint(1, 4)))
+    return Scalar(spec, rng.randint(1, p - 1)) if p > 2 else spec.one()
 
 
 def random_scalar(spec: FieldSpec, rng: random.Random, nonzero: bool = False) -> Scalar:

@@ -1,9 +1,11 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from leavitt import FieldSpec, Scalar, parse_scalar
+from leavitt import FieldSpec, Scalar, cli, coeffs, parse_scalar
 from leavitt.coeffs import MAX_CHARACTERISTIC
 
 from helpers import random_scalar
@@ -30,6 +32,53 @@ def test_construction_rejects_non_integer_characteristic():
     for bad in (2.0, 0.0, True, False, "2", Fraction(2), None):
         with pytest.raises(TypeError, match=type(bad).__name__):
             FieldSpec(bad)
+
+
+def test_field_spec_is_one_immutable_instance_per_characteristic():
+    assert FieldSpec(5) is F5 and FieldSpec() is Q
+    assert copy.copy(F5) is F5 and pickle.loads(pickle.dumps(F5)) is F5
+    assert F5 == FieldSpec(5) and hash(F5) == hash(FieldSpec(5)) and F5 != F3
+    assert repr(F5) == "FieldSpec(characteristic=5)"
+    with pytest.raises(AttributeError):
+        F5.characteristic = 3
+    with pytest.raises(AttributeError):
+        del F5.characteristic
+    assert F5.characteristic == 5
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        (2.0, TypeError, "characteristic must be an int, got float: 2.0"),
+        (True, TypeError, "characteristic must be an int, got bool: True"),
+        (4, ValueError, "characteristic must be 0 or a prime, got 4"),
+        (-1, ValueError, "characteristic must be 0 or a prime, got -1"),
+        (
+            MAX_CHARACTERISTIC,
+            ValueError,
+            f"characteristic must be below {MAX_CHARACTERISTIC}, the limit of the exact "
+            f"primality test, got {MAX_CHARACTERISTIC}",
+        ),
+    ],
+)
+def test_rejected_characteristic_never_enters_the_cache(monkeypatch, bad, error, message):
+    monkeypatch.setattr(coeffs, "_FIELDS", {})
+    two = FieldSpec(2)  # 2.0 == 2 and True == 1, so the type is checked before the cache
+    with pytest.raises(error) as info:
+        FieldSpec(bad)
+    assert str(info.value) == message
+    assert coeffs._FIELDS == {2: two}
+
+
+def test_primality_is_proved_once_per_characteristic(monkeypatch, capsys):
+    calls = []
+    is_prime = coeffs._is_prime
+    monkeypatch.setattr(coeffs, "_FIELDS", {})
+    monkeypatch.setattr(coeffs, "_is_prime", lambda m: calls.append(m) or is_prime(m))
+    argv = ["grid", "--chars", "2305843009213693951", "--n-range", "2:11", "--d-range", "1:20"]
+    assert cli.main(argv) == 0
+    assert '"ok":true' in capsys.readouterr().out
+    assert calls == [2305843009213693951]
 
 
 def test_rational_addition():

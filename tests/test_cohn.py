@@ -12,14 +12,13 @@ from leavitt import (
     Word,
     ideal_generator,
     parse_element,
-    random_element,
     x_gen,
     x_word,
     y_gen,
     y_word,
 )
 
-from helpers import oracle_mul, random_cohn, random_monomial, random_scalar
+from helpers import oracle_mul, random_cohn, random_element, random_monomial, random_scalar
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)

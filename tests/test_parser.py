@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -180,6 +182,36 @@ def test_session_config_rejects_non_integer_sizes():
                          ({"d": "2"}, "str"), ({"characteristic": 2.0}, "float")):
         with pytest.raises(TypeError, match=name):
             SessionConfig(**kwargs)
+
+
+def test_expression_nodes_are_immutable_values():
+    def nodes():
+        x1, one = Gen("x", 1), IntLit(1)
+        return [one, x1, BinOp("+", one, x1), Power(x1, 3), LieBracket(x1, one)]
+
+    for i, (a, b) in enumerate(zip(nodes(), nodes())):
+        assert a == b and hash(a) == hash(b)
+        assert all(a != other for other in nodes()[:i] + nodes()[i + 1:])
+        with pytest.raises(AttributeError):
+            a.left = b
+    assert IntLit(1) != Gen("x", 1)
+
+
+def test_session_config_is_an_immutable_value():
+    cfg = SessionConfig(n=3, d=2, characteristic=5, mode="cohn")
+    same = SessionConfig(3, 2, 5, "cohn")
+    assert cfg == same and hash(cfg) == hash(same)
+    assert cfg != SessionConfig(n=3, d=2, characteristic=5)
+    assert SessionConfig() == SessionConfig(2, 1, 0, "leavitt")
+    assert cfg.spec is FieldSpec(5)
+    assert repr(cfg) == "SessionConfig(n=3, d=2, characteristic=5, mode='cohn')"
+    assert copy.copy(cfg) == cfg and pickle.loads(pickle.dumps(cfg)) == cfg
+    for field in ("n", "d", "characteristic", "mode"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, field, 7)
+        with pytest.raises(AttributeError):
+            delattr(cfg, field)
+    assert (cfg.n, cfg.d, cfg.characteristic, cfg.mode) == (3, 2, 5, "cohn")
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,16 @@ def test_verdict_examples():
             assert not is_simple(Q, n, d).simple
 
 
+def test_verdict_and_witness_are_immutable_values():
+    for a, b in ((is_simple(F3, 4, 2), is_simple(F3, 4, 2)),
+                 (build_witness(F5, 3, 2), build_witness(F5, 3, 2))):
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            a.n = 7
+    assert is_simple(F3, 4, 2) != is_simple(F3, 4, 3)
+    assert build_witness(F5, 3, 2) != build_witness(F5, 3, 3)
+
+
 def test_verdict_agrees_with_direct_divisibility():
     for p in (0, 2, 3, 5, 7, 11):
         spec = FieldSpec(p)

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from leavitt import Word
-from leavitt.words import random_word
+from leavitt import FieldSpec, LeavittElement, Word, x_gen
+from helpers import random_word
 
 
 def w(letters, n=3):
@@ -21,6 +21,20 @@ def test_construction_validates_letters():
     with pytest.raises(ValueError):
         Word((), 1)
     assert len(Word((1, 2, 3), 3)) == 3
+
+
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: Word((2.7,), 3), "float: 2.7"),
+        (lambda: Word((1, True), 3), "bool: True"),
+        (lambda: x_gen(1.9, 2, FieldSpec(0)), "float: 1.9"),
+        (lambda: LeavittElement.y_gen(2.5, 3, FieldSpec(0)), "float: 2.5"),
+    ],
+)
+def test_non_integer_letters_are_rejected(build, shown):
+    with pytest.raises(TypeError, match=f"letter must be an int, got {shown}"):
+        build()
 
 
 def test_concat_examples():
