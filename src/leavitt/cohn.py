@@ -9,6 +9,15 @@ letter tuples of I and J, and value is what `Scalar.value` would hold (a
 reduced `Fraction` over Q, an int in [1, p) over F_p), never zero.  The field
 and the alphabet size are stored once per element.  Public constructors check
 their input; ring operations build results through the trusted `_raw`.
+
+A product sums the pair products into one integer map (over Q each factor is
+first scaled to integer numerators over one denominator) and builds each
+output coefficient once.  A left term x_I y_J with J nonempty only scans the
+right terms whose K is empty or starts with the last letter of J, found by
+one lookup in an index of the right factor by first x-letter; a left term
+with J empty meets every right term.  A bracket adds
+both ab and -ba into the same map, so it makes one pass with no intermediate
+product.  It raises TypeError for an operand that is not a CohnElement.
 """
 
 from __future__ import annotations
@@ -54,6 +63,54 @@ def _absorb(out: Dict, m, c, p: int) -> None:
             del out[m]
             return
     out[m] = c
+
+
+def _integral(terms: Dict):
+    """Rational coefficients as integer numerators over their lcm denominator d: (d, {m: c * d})."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
+
+
+def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int) -> None:
+    """Add sign * ca * cb into acc at the product of every left term x_I y_J
+    (integer coefficient ca) and right term x_K y_L (cb) that is nonzero.
+
+    y_J x_K telescopes under y_i x_j = delta_ij and survives exactly when one
+    of rev(J), K is a prefix of the other; the unconsumed letters stay on
+    their own side.  So a left term with J nonempty reads only the bucket of
+    right terms whose K starts with the last letter of J, each bucket also
+    holding the terms with K empty.  A single left term scans every right
+    term once, which costs no more than building the buckets.
+    """
+    get = acc.get
+    scan = right.items()
+    index = None
+    if len(left) > 1:
+        groups: Dict = {}
+        for term in scan:
+            groups.setdefault(term[0][0][:1], []).append(term)
+        empty = groups.pop((), [])
+        index = {first[0]: empty + group for first, group in groups.items()}
+    for (xs, ys), ca in left.items():
+        ca *= sign
+        if not ys:
+            for (ks, ls), cb in scan:
+                m = (xs + ks, ls)
+                acc[m] = get(m, 0) + ca * cb
+            continue
+        rj = ys[::-1]
+        lj = len(rj)
+        for (ks, ls), cb in scan if index is None else index.get(ys[-1], empty):
+            lk = len(ks)
+            if lj <= lk:
+                if ks[:lj] != rj:
+                    continue
+                m = (xs + ks[lj:], ls)
+            elif rj[:lk] == ks:
+                m = (xs, ys[: lj - lk] + ls)
+            else:
+                continue
+            acc[m] = get(m, 0) + ca * cb
 
 
 def _mono_text(xs, ys) -> str:
@@ -186,7 +243,11 @@ class CohnElement:
             raise ValueError(f"mismatched alphabet sizes: {self.n} vs {other.n}")
 
     def _like(self, terms: Dict) -> "CohnElement":
-        return CohnElement._raw(self.spec, self.n, terms)
+        e = object.__new__(CohnElement)
+        e.spec = self.spec
+        e.n = self.n
+        e._terms = terms
+        return e
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -208,7 +269,11 @@ class CohnElement:
 
     def __sub__(self, other: "CohnElement") -> "CohnElement":
         self._check(other)
-        return self + (-other)
+        p = self.spec.characteristic
+        out = dict(self._terms)
+        for m, c in other._terms.items():
+            _absorb(out, m, p - c if p else -c, p)
+        return self._like(out)
 
     def scale(self, s: Scalar) -> "CohnElement":
         if not isinstance(s, Scalar):
@@ -233,42 +298,7 @@ class CohnElement:
         if isinstance(other, int):
             return self._times(other % p if p else other)
         self._check(other)
-        left, right = self._terms, other._terms
-        if p == 0:
-            # Integer numerators over a common denominator per factor, so
-            # that the pair loop below only multiplies and adds ints.
-            dl = lcm(*(c.denominator for c in left.values()))
-            dr = lcm(*(c.denominator for c in right.values()))
-            left = {m: c.numerator * (dl // c.denominator) for m, c in left.items()}
-            right = {m: c.numerator * (dr // c.denominator) for m, c in right.items()}
-        # x_I y_J * x_K y_L: y_J x_K telescopes under y_i x_j = delta_ij and
-        # survives exactly when one of rev(J), K is a prefix of the other;
-        # the unconsumed letters stay on their own side.
-        rights = [(ks, ls, len(ks), cb) for (ks, ls), cb in right.items()]
-        acc: Dict = {}
-        get = acc.get
-        for (xs, ys), ca in left.items():
-            rj = ys[::-1]
-            lj = len(rj)
-            for ks, ls, lk, cb in rights:
-                if lj <= lk:
-                    if ks[:lj] != rj:
-                        continue
-                    m = (xs + ks[lj:], ls)
-                elif rj[:lk] == ks:
-                    m = (xs, ys[: lj - lk] + ls)
-                else:
-                    continue
-                acc[m] = get(m, 0) + ca * cb
-        if p == 0:
-            den = dl * dr
-            return self._like({m: Fraction(v, den) for m, v in acc.items() if v})
-        out = {}
-        for m, v in acc.items():
-            v %= p
-            if v:
-                out[m] = v
-        return self._like(out)
+        return self._product(other, False)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -284,7 +314,32 @@ class CohnElement:
         return out
 
     def bracket(self, other: "CohnElement") -> "CohnElement":
-        return self * other - other * self
+        """The commutator ab - ba, summed in one pass over both products."""
+        self._check(other)
+        return self._product(other, True)
+
+    def _product(self, other: "CohnElement", commutator: bool) -> "CohnElement":
+        """ab, or ab - ba when commutator is set, built from one integer accumulator."""
+        p = self.spec.characteristic
+        a, b, den = self._terms, other._terms, 1
+        if p == 0:
+            # integer numerators, so that the pair loop only multiplies and
+            # adds ints; the common denominator is da * db for ab and for ba
+            da, a = _integral(a)
+            db, b = _integral(b)
+            den = da * db
+        acc: Dict = {}
+        _accumulate(acc, a, b, 1)
+        if commutator:
+            _accumulate(acc, b, a, -1)
+        if p == 0:
+            return self._like({m: Fraction(v, den) for m, v in acc.items() if v})
+        out = {}
+        for m, v in acc.items():
+            v %= p
+            if v:
+                out[m] = v
+        return self._like(out)
 
     def trace(self) -> Scalar:
         """Sum of the coefficients of the monomials x_I y_J with I = rev(J).
@@ -421,7 +476,8 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
         elif not first:
             raise ValueError(f"expected '+' or '-' between terms, got {kind!r}")
         first = False
-        term = CohnElement._raw(spec, n, {((), ()): sign})
+        # a term is one monomial, None once its blocks multiply to zero, times a coefficient
+        mono, coeff = ((), ()), sign
         expect_factor = True
         while idx < len(tokens):
             kind, val = tokens[idx]
@@ -436,25 +492,28 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
             if not expect_factor:
                 raise ValueError(f"missing '*' before {kind!r} factor")
             if kind == "int":
-                coeff = val % p if p else val
+                c = val % p if p else val
                 if idx + 2 < len(tokens) and tokens[idx + 1][0] == "/" and tokens[idx + 2][0] == "int":
                     den = tokens[idx + 2][1]
                     idx += 2
                     if p:
-                        coeff = (spec.from_int(val) / spec.from_int(den)).value
+                        c = (spec.from_int(val) / spec.from_int(den)).value
                     else:
-                        coeff = Fraction(val, den)
-                term = term._times(coeff)
+                        c = Fraction(val, den)
+                coeff = coeff * c % p if p else coeff * c
             elif kind in ("x", "y"):
                 letters = _checked_letters(val, n)
-                key = (letters, ()) if kind == "x" else ((), letters)
-                term = term * CohnElement._raw(spec, n, {key: one})
+                if mono is not None:
+                    block = (letters, ()) if kind == "x" else ((), letters)
+                    product: Dict = {}
+                    _accumulate(product, {mono: 1}, {block: 1}, 1)
+                    mono = next(iter(product), None)
             else:
                 raise ValueError(f"unexpected {kind!r} in element text")
             idx += 1
             expect_factor = False
         if expect_factor:
             raise ValueError("dangling operator in element text")
-        for m, c in term._terms.items():
-            _absorb(out, m, c, p)
+        if mono is not None and coeff:
+            _absorb(out, mono, coeff, p)
     return CohnElement._raw(spec, n, out)

@@ -125,7 +125,15 @@ class MatrixElement:
 
     def __sub__(self, other: "MatrixElement") -> "MatrixElement":
         self._check(other)
-        return self + (-other)
+        out = dict(self.entries)
+        for pos, b in other.entries.items():
+            a = out.get(pos)
+            value = -b if a is None else a - b
+            if value.is_zero():
+                del out[pos]  # only a - b can vanish, and then pos is stored
+            else:
+                out[pos] = value
+        return self._like(out)
 
     def scale(self, s: Scalar) -> "MatrixElement":
         return self._map(lambda e: e * s)
@@ -149,6 +157,7 @@ class MatrixElement:
         return NotImplemented
 
     def bracket(self, other: "MatrixElement") -> "MatrixElement":
+        self._check(other)
         return self * other - other * self
 
     def trace(self) -> Scalar:

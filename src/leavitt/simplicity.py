@@ -13,11 +13,15 @@ every bracket yet sends the identity to d * 1, which is nonzero there.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 from .coeffs import FieldSpec
-from .leavitt import LeavittElement
-from .matrix import MatrixElement, identity_matrix, matrix_from_strings, unit
+
+# The verdict needs only the field; the algebra and matrix modules are
+# imported by the functions that build or read matrices, so that `simple`
+# and a plain `grid` load neither.
+if TYPE_CHECKING:
+    from .matrix import MatrixElement
 
 __all__ = [
     "Reason",
@@ -86,6 +90,9 @@ def build_witness(spec: FieldSpec, n: int, d: int) -> BracketWitness:
     and summing j * [e_{j,j+1}, e_{j+1,j}] over j < d yields a diagonal of
     ones ending in -(d-1) = 1.
     """
+    from .leavitt import LeavittElement
+    from .matrix import unit
+
     verdict = is_simple(spec, n, d)
     if verdict.simple:
         raise ValueError(
@@ -112,6 +119,9 @@ def build_witness(spec: FieldSpec, n: int, d: int) -> BracketWitness:
 
 def verify_witness(witness: BracketWitness) -> bool:
     """Evaluate the bracket-sum exactly and compare with the identity."""
+    from .leavitt import LeavittElement
+    from .matrix import MatrixElement, identity_matrix
+
     _validate_shape(witness.n, witness.d)
     for left, right in witness.pairs:
         if (
@@ -138,6 +148,9 @@ def nontriviality_probe(spec: FieldSpec, n: int, d: int) -> bool:
     coefficients +-1, so the probe holds over every field; it certifies
     that the derived Lie algebra is not abelian.
     """
+    from .leavitt import LeavittElement
+    from .matrix import unit
+
     _validate_shape(n, d)
     x1 = LeavittElement.x_gen(1, n, spec)
     x2 = LeavittElement.x_gen(2, n, spec)
@@ -162,6 +175,8 @@ def witness_from_doc(doc: Dict) -> BracketWitness:
 
     A document of the wrong shape or field types raises ValueError.
     """
+    from .matrix import matrix_from_strings
+
     if not isinstance(doc, dict):
         raise ValueError(f"malformed witness document: expected a dict, got {type(doc).__name__}")
     for key in ("characteristic", "n", "d"):

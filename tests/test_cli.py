@@ -177,6 +177,9 @@ def test_env_var_sets_default_characteristic(capsys, monkeypatch):
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# Operands whose products meet every branch of the Cohn pair loop.
+BRACKET_LEFT = "x1*y2*y3 + 2*x3^2*y1 - 3*y2 + x2*x1*y3*y3 - 4"
+BRACKET_RIGHT = "x3*y1 + 5*x1*x2*y3 - y1^2 + 2*x2 - x3*x2*y2*y1 + [x1, y3*y2]"
 
 
 @pytest.mark.parametrize(
@@ -187,6 +190,13 @@ GOLDEN = Path(__file__).parent / "golden"
             ["grid", "--chars", "0,2,3", "--n-range", "2:4", "--d-range", "1:4",
              "--witnesses", "--probe"],
             "grid_chars_0_2_3_n2-4_d1-4_witnesses_probe.json",
+        ),
+        *(
+            (["bracket", BRACKET_LEFT, BRACKET_RIGHT, "--n", "3", "--char", str(p), "--mode", mode,
+              *(["--d", "2"] if mode == "matrix" else [])],
+             f"bracket_{mode}_n3_char{p}.json")
+            for mode in ("cohn", "leavitt", "matrix")
+            for p in (0, 5)
         ),
     ],
 )

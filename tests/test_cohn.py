@@ -11,6 +11,7 @@ from leavitt import (
     Scalar,
     Word,
     ideal_generator,
+    normal_form,
     parse_element,
     x_gen,
     x_word,
@@ -207,6 +208,95 @@ def test_bracket_bilinear_and_jacobi():
         assert jacobi.is_zero()
 
 
+def _pair_case(j, k):
+    """Which branch of the product's pair loop a left y-word j and right x-word k take."""
+    if not j:
+        return "empty J"
+    if not k:
+        return "empty K"
+    if k[0] != j[-1]:
+        return "first-letter miss"
+    return "|J| < |K|" if len(j) < len(k) else "|J| = |K|" if len(j) == len(k) else "|J| > |K|"
+
+
+@pytest.mark.parametrize("p", [0, 2, 7, 2**61 - 1])
+def test_bracket_matches_the_oracle_in_both_orders(p):
+    spec = FieldSpec(p)
+    rng = random.Random(71 + p % 1000)
+    cases = set()
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        # one-term factors take the unindexed scan, larger ones the index
+        ta, tb = (
+            {random_monomial(n, 6, rng): random_scalar(spec, rng, nonzero=True)
+             for _ in range(rng.choice((1, rng.randint(2, 8))))}
+            for _ in range(2)
+        )
+        expected = {}
+        for left, right, sign in ((ta, tb, spec.one()), (tb, ta, -spec.one())):
+            for ma, ca in left.items():
+                for mb, cb in right.items():
+                    cases.add(_pair_case(ma.ys.letters, mb.xs.letters))
+                    m = oracle_mul(ma, mb)
+                    if m is not None:
+                        expected[m] = expected.get(m, spec.zero()) + sign * ca * cb
+        a, b = CohnElement(spec, n, ta), CohnElement(spec, n, tb)
+        want = CohnElement(spec, n, expected)
+        assert a.bracket(b) == want
+        assert b.bracket(a) == -want
+    assert cases == {"empty J", "empty K", "first-letter miss", "|J| < |K|", "|J| = |K|", "|J| > |K|"}
+
+
+def test_leavitt_bracket_is_the_difference_of_the_reduced_products():
+    rng = random.Random(73)
+    for _ in range(60):
+        n = rng.randint(2, 3)
+        spec = FieldSpec(rng.choice((0, 2, 5)))
+        a, b = (random_cohn(n, spec, rng, max_len=4, max_terms=6) for _ in range(2))
+        got = normal_form(a).bracket(normal_form(b))
+        assert got == normal_form(a * b) - normal_form(b * a)
+
+
+def test_bracket_is_the_commutator_and_antisymmetric():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def pairs(draw):
+        n = draw(st.integers(2, 3))
+        spec = FieldSpec(draw(st.sampled_from((0, 2, 7))))
+        word = st.lists(st.integers(1, n), max_size=4).map(lambda w: Word(w, n))
+        if spec.characteristic:
+            value = st.integers(1, spec.characteristic - 1)
+        else:
+            value = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 4))
+        terms = st.dictionaries(st.builds(Monomial, word, word), value.map(lambda v: Scalar(spec, v)), max_size=6)
+        return CohnElement(spec, n, draw(terms)), CohnElement(spec, n, draw(terms))
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @hypothesis.given(pairs())
+    def check(pair):
+        a, b = pair
+        assert a.bracket(b) == a * b - b * a == -(b.bracket(a))
+
+    check()
+
+
+@pytest.mark.parametrize("operand", [3, Scalar(Q, 3), LeavittElement.x_gen(1, 3, Q)])
+def test_bracket_rejects_an_operand_that_is_not_a_cohn_element(operand):
+    with pytest.raises(TypeError, match=f"expected CohnElement, got {type(operand).__name__}"):
+        x_gen(1, 3, Q).bracket(operand)
+
+
+def test_subtraction_absorbs_the_negated_terms():
+    a = elem((1,), (2,)) + elem((), (), coeff=Scalar(Q, 2))
+    b = elem((1,), (2,)) + elem((2,), ())
+    assert a - b == elem((), (), coeff=Scalar(Q, 2)) - elem((2,), ())
+    assert (a - a).is_zero()
+    f = elem((1,), (), F5, coeff=Scalar(F5, 2))
+    assert f - elem((1,), (), F5, coeff=Scalar(F5, 4)) == elem((1,), (), F5, coeff=Scalar(F5, 3))
+
+
 # --- trace ----------------------------------------------------------------
 
 
@@ -365,6 +455,10 @@ def test_parse_element_accepts_products_of_blocks():
     got = parse_element("y[1,2]*x[2,1]", 3, Q)
     assert got == CohnElement.one(3, Q)
     assert parse_element("2*x[1]*x[2]", 3, Q) == elem((1, 2), (), coeff=Scalar(Q, 2))
+    # a term whose blocks multiply to zero, a zero factor, and factors reduced mod p
+    assert parse_element("y[1]*x[2]*x[3] + x[1]", 3, Q) == elem((1,), ())
+    assert parse_element("0*x[1] - y[2]", 3, F5) == elem((), (2,), F5, coeff=Scalar(F5, 4))
+    assert parse_element("3*x[1]*4*y[2,1]*x[1]", 3, F5) == elem((1,), (2,), F5, coeff=Scalar(F5, 2))
 
 
 def test_parse_element_rejects_garbage():

@@ -75,6 +75,16 @@ def test_leavitt_mode_loads_no_matrix_or_simplicity_module(tmp_path):
     assert not loaded & {"leavitt.matrix", "leavitt.simplicity", "dataclasses"}
 
 
+def test_verdict_commands_load_no_algebra_module(tmp_path):
+    loaded = loaded_after(
+        [[["simple", "--n", "3", "--char", "2", "--d", "3"], 0],
+         [["grid", "--chars", "0,2", "--n-range", "2:3", "--d-range", "1:2"], 0]],
+        tmp_path,
+    )
+    assert "leavitt.simplicity" in loaded
+    assert not loaded & {"leavitt.cohn", "leavitt.words", "leavitt.leavitt", "leavitt.matrix"}
+
+
 def test_no_command_loads_dataclasses(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps([["x[1]*y[1]", "0"], ["0", "1"]]))
     loaded = loaded_after(

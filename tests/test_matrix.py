@@ -51,6 +51,22 @@ def test_bracket_is_alternating():
         assert a.bracket(a).is_zero()
 
 
+@pytest.mark.parametrize("operand", [3, Scalar(Q, 3), LeavittElement.one(3, Q)])
+def test_bracket_rejects_an_operand_that_is_not_a_matrix(operand):
+    m = unit(LeavittElement.x_gen(1, 3, Q), 1, 2, 2)
+    with pytest.raises(TypeError, match=f"expected MatrixElement, got {type(operand).__name__}"):
+        m.bracket(operand)
+
+
+def test_subtraction_matches_adding_the_negation():
+    rng = random.Random(9)
+    for _ in range(30):
+        spec = rng.choice((Q, F2))
+        a, b = random_matrix(3, 2, spec, rng), random_matrix(3, 2, spec, rng)
+        assert a - b == a + (-b)
+        assert (a - a).is_zero()
+
+
 def test_unit_product_calculus():
     rng = random.Random(7)
     d = 3
