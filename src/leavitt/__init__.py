@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines, in `__all__` order.
 _EXPORTS = {
     "coeffs": ("FieldSpec", "Scalar", "parse_scalar"),
-    "words": ("Word",),
     "cohn": (
+        "Word",
         "Monomial",
         "CohnElement",
         "ideal_generator",

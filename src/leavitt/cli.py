@@ -120,8 +120,11 @@ def _cmd_taud(args) -> object:
 
     cfg = _resolve_config(args)
     with open(args.matrix_file, "r", encoding="utf-8") as handle:
-        rows = json.load(handle)
-    matrix = matrix_from_strings(rows, cfg.n, cfg.spec, leavitt=True)
+        try:
+            rows = json.load(handle)
+        except RecursionError:
+            raise json.JSONDecodeError("matrix file nests too deeply", "", 0) from None
+    matrix = matrix_from_strings(rows, cfg.n, cfg.spec)
     return str(matrix.trace())
 
 

@@ -43,6 +43,23 @@ def _is_prime(m: int) -> bool:
     return True
 
 
+def _check_int(value, name: str) -> int:
+    """The value, if it is an int; TypeError for any other type, bool included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}: {value!r}")
+    return value
+
+
+def _check_shape(n: int, d: int) -> None:
+    """The sizes the paper's theorem is stated for: int n >= 2 and int d >= 1."""
+    _check_int(n, "n")
+    _check_int(d, "d")
+    if n < 2:
+        raise ValueError(f"algebra order must be at least 2, got {n}")
+    if d < 1:
+        raise ValueError(f"matrix dimension must be at least 1, got {d}")
+
+
 # The one FieldSpec of each characteristic accepted so far.
 _FIELDS: Dict[int, "FieldSpec"] = {}
 
@@ -59,10 +76,8 @@ class FieldSpec:
     __slots__ = ("characteristic",)
 
     def __new__(cls, characteristic: int = 0) -> "FieldSpec":
-        c = characteristic
         # Type first: 2.0 and True would otherwise find the instances for 2 and 1.
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise TypeError(f"characteristic must be an int, got {type(c).__name__}: {c!r}")
+        c = _check_int(characteristic, "characteristic")
         spec = _FIELDS.get(c)
         if spec is not None:
             return spec

@@ -1,4 +1,4 @@
-"""Arithmetic in the Cohn algebra of order n.
+"""The free monoid of words over {1..n}, and arithmetic in the Cohn algebra of order n.
 
 The algebra is generated by x_1..x_n, y_1..y_n subject to y_i x_j = delta_ij.
 The products x_I y_J, indexed by pairs of words, form a free basis, so an
@@ -26,12 +26,12 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
-from .coeffs import FieldSpec, Scalar
-from .words import Word, _check_alphabet, _checked_letters
+from .coeffs import FieldSpec, Scalar, _check_int
 
 __all__ = [
+    "Word",
     "Monomial",
     "CohnElement",
     "ideal_generator",
@@ -41,6 +41,78 @@ __all__ = [
     "y_gen",
     "parse_element",
 ]
+
+
+def _check_alphabet(n: int) -> None:
+    _check_int(n, "n")
+    if n < 2:
+        raise ValueError(f"alphabet size must be at least 2, got {n}")
+
+
+def _checked_letters(letters, n: int) -> Tuple[int, ...]:
+    """The letters as a tuple, each checked to be an int in {1..n}."""
+    # The exact type tests are fast paths, taken once per parsed block and
+    # per letter; _check_alphabet and _check_int decide every other case.
+    if type(n) is not int or n < 2:
+        _check_alphabet(n)
+    letters = tuple(letters)
+    for i in letters:
+        if type(i) is not int:
+            _check_int(i, "letter")
+        if not 1 <= i <= n:
+            raise ValueError(f"letter {i} outside alphabet [1, {n}]")
+    return letters
+
+
+class Word:
+    """An immutable word: a finite sequence of letters drawn from {1..n}.
+
+    The empty sequence is the identity of the monoid.  Letters are plain
+    integers, so alphabets of any size work without encoding tricks.
+    """
+
+    __slots__ = ("letters", "n")
+
+    def __init__(self, letters, n: int):
+        self.letters = _checked_letters(letters, n)
+        self.n = n
+
+    @classmethod
+    def empty(cls, n: int) -> "Word":
+        return cls((), n)
+
+    def _check(self, other: "Word") -> None:
+        if not isinstance(other, Word):
+            raise TypeError(f"expected Word, got {type(other).__name__}")
+        if other.n != self.n:
+            raise ValueError(f"alphabet mismatch: {self.n} vs {other.n}")
+
+    def concat(self, other: "Word") -> "Word":
+        self._check(other)
+        return Word(self.letters + other.letters, self.n)
+
+    __mul__ = concat
+
+    def rev(self) -> "Word":
+        return Word(self.letters[::-1], self.n)
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.letters)
+
+    def __getitem__(self, idx):
+        return self.letters[idx]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Word) and self.n == other.n and self.letters == other.letters
+
+    def __hash__(self):
+        return hash((self.letters, self.n))
+
+    def __repr__(self) -> str:
+        return "[" + ",".join(str(i) for i in self.letters) + "]"
 
 
 def _order(key):

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar
-from .cohn import CohnElement, _absorb, _mono_text, _order, x_gen, x_word, y_gen
-from .words import Word
+from .cohn import CohnElement, Word, _absorb, _mono_text, _order, x_gen, x_word, y_gen
 
 __all__ = [
     "LeavittElement",

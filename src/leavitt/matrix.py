@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence, Tuple
 
-from .coeffs import FieldSpec, Scalar
+from .coeffs import FieldSpec, Scalar, _check_shape
 from .cohn import CohnElement, parse_element
 from .leavitt import LeavittElement, normal_form
 
@@ -49,11 +49,12 @@ class MatrixElement:
         rows = tuple(tuple(r) for r in entries)
         d = _square_size(rows)
         first = rows[0][0]
-        kind, spec, n = type(first), first.spec, first.n
         stored = {}
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
-                if type(e) is not kind or e.spec != spec or e.n != n:
+                if not isinstance(e, (CohnElement, LeavittElement)):
+                    raise TypeError(f"entry must be a CohnElement or LeavittElement, got {type(e).__name__}: {e!r}")
+                if type(e) is not type(first) or e.spec != first.spec or e.n != first.n:
                     raise ValueError("entries must share one algebra, field and alphabet")
                 if not e.is_zero():
                     stored[(i, j)] = e
@@ -73,8 +74,7 @@ class MatrixElement:
     @classmethod
     def zero(cls, element, d: int) -> "MatrixElement":
         """The d x d zero matrix over the algebra of the given element."""
-        if d < 1:
-            raise ValueError(f"matrix dimension must be at least 1, got {d}")
+        _check_shape(element.n, d)
         return cls._from_map(element.zero_like(), d, {})
 
     @property
@@ -216,29 +216,32 @@ def identity_matrix(value, d: int) -> MatrixElement:
     return m if value.is_zero() else m._like({(r, r): value for r in range(d)})
 
 
-def matrix_from_strings(
-    rows: Sequence[Sequence[str]], n: int, spec: FieldSpec, leavitt: bool = True
-) -> MatrixElement:
-    """Build a matrix from a square array (list of lists) of element strings.
+_NOT_ROWS = "a matrix must be a list of lists of element strings"
 
-    Only texts other than "0" are parsed; every parsed entry is brought to
-    normal form when leavitt is set.
+
+def matrix_from_strings(rows: Sequence[Sequence[str]], n: int, spec: FieldSpec) -> MatrixElement:
+    """Build a Leavitt matrix from a square array (list of lists) of element strings.
+
+    Only texts other than "0" are parsed, and each is brought to normal form.
     """
-    if not isinstance(rows, (list, tuple)) or not all(
-        isinstance(row, (list, tuple)) and all(isinstance(t, str) for t in row)
-        for row in rows
-    ):
-        raise ValueError("a matrix must be a list of lists of element strings")
+    # The whole document is checked before any entry is parsed: the types of
+    # its parts, then its shape, in one plain pass each.
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError(_NOT_ROWS)
+    for row in rows:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(_NOT_ROWS)
+        for text in row:
+            if not isinstance(text, str):
+                raise ValueError(_NOT_ROWS)
     d = _square_size(rows)
-    zero = LeavittElement.zero(n, spec) if leavitt else CohnElement.zero(n, spec)
+    zero = LeavittElement.zero(n, spec)
     entries = {}
     for i, row in enumerate(rows):
         for j, text in enumerate(row):
             if text == "0":
                 continue
-            e = parse_element(text, n, spec)
-            if leavitt:
-                e = normal_form(e)
+            e = normal_form(parse_element(text, n, spec))
             if not e.is_zero():
                 entries[(i, j)] = e
     return MatrixElement._from_map(zero, d, entries)

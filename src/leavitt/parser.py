@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, NamedTuple, Tuple, Union
 
-from .coeffs import FieldSpec
+from .coeffs import FieldSpec, _check_shape
 
 __all__ = [
     "ParseError",
@@ -245,13 +245,7 @@ class SessionConfig:
     __slots__ = ("n", "d", "characteristic", "mode")
 
     def __init__(self, n: int = 2, d: int = 1, characteristic: int = 0, mode: str = "leavitt"):
-        for name, value in (("n", n), ("d", d)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}: {value!r}")
-        if n < 2:
-            raise ValueError(f"algebra order must be at least 2, got {n}")
-        if d < 1:
-            raise ValueError(f"matrix dimension must be at least 1, got {d}")
+        _check_shape(n, d)
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
         FieldSpec(characteristic)  # validates primality

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
-from .coeffs import FieldSpec
+from .coeffs import FieldSpec, _check_shape
 
 # The verdict needs only the field; the algebra and matrix modules are
 # imported by the functions that build or read matrices, so that `simple`
@@ -59,16 +59,9 @@ class BracketWitness(NamedTuple):
     pairs: Tuple[Tuple[MatrixElement, MatrixElement], ...]
 
 
-def _validate_shape(n: int, d: int) -> None:
-    if n < 2:
-        raise ValueError(f"algebra order must be at least 2, got {n}")
-    if d < 1:
-        raise ValueError(f"matrix dimension must be at least 1, got {d}")
-
-
 def is_simple(spec: FieldSpec, n: int, d: int) -> SimplicityVerdict:
     """Decide simplicity of the derived Lie algebra for this configuration."""
-    _validate_shape(n, d)
+    _check_shape(n, d)
     divides_n1 = spec.divides(n - 1)
     divides_d = spec.divides(d)
     if divides_n1 and not divides_d:
@@ -122,21 +115,16 @@ def verify_witness(witness: BracketWitness) -> bool:
     from .leavitt import LeavittElement
     from .matrix import MatrixElement, identity_matrix
 
-    _validate_shape(witness.n, witness.d)
-    for left, right in witness.pairs:
-        if (
-            left.d != witness.d
-            or right.d != witness.d
-            or left.spec != witness.spec
-            or right.spec != witness.spec
-            or left.n != witness.n
-            or right.n != witness.n
-        ):
-            raise ValueError("malformed witness: mixed dimensions or fields")
+    _check_shape(witness.n, witness.d)
     one = LeavittElement.one(witness.n, witness.spec)
     total = MatrixElement.zero(one, witness.d)
-    for left, right in witness.pairs:
-        total = total + left.bracket(right)
+    for pair in witness.pairs:
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and all(isinstance(m, MatrixElement) for m in pair)):
+            raise ValueError("malformed witness: each pair must be two MatrixElements")
+        if any(m.d != witness.d or m.spec != witness.spec or m.n != witness.n for m in pair):
+            raise ValueError("malformed witness: mixed dimensions or fields")
+        total = total + pair[0].bracket(pair[1])
     return total == identity_matrix(one, witness.d)
 
 
@@ -151,7 +139,7 @@ def nontriviality_probe(spec: FieldSpec, n: int, d: int) -> bool:
     from .leavitt import LeavittElement
     from .matrix import unit
 
-    _validate_shape(n, d)
+    _check_shape(n, d)
     x1 = LeavittElement.x_gen(1, n, spec)
     x2 = LeavittElement.x_gen(2, n, spec)
     inner = x1.bracket(x2).bracket(x1.bracket(x2 * x2))
@@ -190,11 +178,11 @@ def witness_from_doc(doc: Dict) -> BracketWitness:
         raise ValueError("malformed witness document: 'pairs' must be a list of 2-element lists")
     spec = FieldSpec(doc["characteristic"])
     n, d = doc["n"], doc["d"]
-    _validate_shape(n, d)
+    _check_shape(n, d)
     pairs = []
     for left_rows, right_rows in doc_pairs:
-        left = matrix_from_strings(left_rows, n, spec, leavitt=True)
-        right = matrix_from_strings(right_rows, n, spec, leavitt=True)
+        left = matrix_from_strings(left_rows, n, spec)
+        right = matrix_from_strings(right_rows, n, spec)
         if left.d != d or right.d != d:
             raise ValueError("malformed witness document: wrong matrix dimension")
         pairs.append((left, right))

@@ -113,6 +113,16 @@ def test_taud_bad_json_is_a_parse_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_taud_too_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = main(["taud", str(path), "--n", "3", "--char", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {"ok": False, "reason": "matrix file nests too deeply: line 1 column 1 (char 0)"}
+    assert out.count("\n") == 1
+
+
 def test_grid_command(capsys):
     code, doc = run(
         capsys, "grid", "--chars", "0,2", "--n-range", "2:3", "--d-range", "1:2",

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import leavitt
 from leavitt import FieldSpec, Scalar, cli, coeffs, parse_scalar
 from leavitt.coeffs import MAX_CHARACTERISTIC
 
@@ -68,6 +69,50 @@ def test_rejected_characteristic_never_enters_the_cache(monkeypatch, bad, error,
         FieldSpec(bad)
     assert str(info.value) == message
     assert coeffs._FIELDS == {2: two}
+
+
+# Every entry point that takes an algebra order n or a matrix dimension d
+# checks it with the one rule in `coeffs`: an int, not a bool.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: leavitt.is_simple(Q, 3, 2.0), "d must be an int, got float: 2.0"),
+        (lambda: leavitt.is_simple(Q, 2.5, 1), "n must be an int, got float: 2.5"),
+        (lambda: leavitt.is_simple(Q, True, 1), "n must be an int, got bool: True"),
+        (lambda: leavitt.build_witness(Q, 2, True), "d must be an int, got bool: True"),
+        (lambda: leavitt.build_witness(Q, 2.0, 1), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.nontriviality_probe(Q, 2, 1.0), "d must be an int, got float: 1.0"),
+        (lambda: leavitt.nontriviality_probe(Q, 2.5, 1), "n must be an int, got float: 2.5"),
+        (lambda: leavitt.verify_witness(leavitt.BracketWitness(Q, 2.0, 1, ())), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.CohnElement.zero(2.0, Q), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.CohnElement.one(True, Q), "n must be an int, got bool: True"),
+        (lambda: leavitt.CohnElement.one(2.5, Q), "n must be an int, got float: 2.5"),
+        (lambda: leavitt.CohnElement(Q, 2.0, {}), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.ideal_generator(2.0, Q), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.parse_element("x[1]", 2.0, Q), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.parse_element("x[1]", True, Q), "n must be an int, got bool: True"),
+        (lambda: leavitt.x_gen(1, 2.5, Q), "n must be an int, got float: 2.5"),
+        (lambda: leavitt.y_gen(1, True, Q), "n must be an int, got bool: True"),
+        (lambda: leavitt.LeavittElement.x_gen(1, 2.0, Q), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.LeavittElement.y_gen(2, 2.5, Q), "n must be an int, got float: 2.5"),
+        (lambda: leavitt.Word((1,), 2.0), "n must be an int, got float: 2.0"),
+        (lambda: leavitt.Word((), True), "n must be an int, got bool: True"),
+        (lambda: leavitt.MatrixElement.zero(leavitt.LeavittElement.one(2, Q), 2.0), "d must be an int, got float: 2.0"),
+        (lambda: leavitt.identity_matrix(leavitt.LeavittElement.one(2, Q), True), "d must be an int, got bool: True"),
+    ],
+    ids=[
+        "is_simple-d-float", "is_simple-n-float", "is_simple-n-bool", "build_witness-d-bool",
+        "build_witness-n-float", "probe-d-float", "probe-n-float", "verify_witness-n-float",
+        "cohn_zero-n-float", "cohn_one-n-bool", "cohn_one-n-float", "cohn_init-n-float",
+        "ideal_generator-n-float", "parse_element-n-float", "parse_element-n-bool",
+        "x_gen-n-float", "y_gen-n-bool", "leavitt_x_gen-n-float", "leavitt_y_gen-n-float",
+        "word-n-float", "word-n-bool", "matrix_zero-d-float", "identity_matrix-d-bool",
+    ],
+)
+def test_non_integer_sizes_are_rejected(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_primality_is_proved_once_per_characteristic(monkeypatch, capsys):

@@ -7,8 +7,11 @@ and read `sys.modules` afterwards.
 
 import json
 import os
+import re
 import subprocess
 import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
@@ -81,8 +84,7 @@ def test_verdict_commands_load_no_algebra_module(tmp_path):
          [["grid", "--chars", "0,2", "--n-range", "2:3", "--d-range", "1:2"], 0]],
         tmp_path,
     )
-    assert "leavitt.simplicity" in loaded
-    assert not loaded & {"leavitt.cohn", "leavitt.words", "leavitt.leavitt", "leavitt.matrix"}
+    assert loaded == {"leavitt", "leavitt.cli", "leavitt.parser", "leavitt.coeffs", "leavitt.simplicity"}
 
 
 def test_no_command_loads_dataclasses(tmp_path):
@@ -100,6 +102,24 @@ def test_no_command_loads_dataclasses(tmp_path):
     )
     assert "leavitt.simplicity" in loaded
     assert "dataclasses" not in loaded
+
+
+def test_exports_match_each_module_all():
+    # the parser's expression node classes are public in the module only
+    for module, names in leavitt._EXPORTS.items():
+        module_all = import_module(f"leavitt.{module}").__all__
+        if module == "parser":
+            assert set(names) <= set(module_all)
+        else:
+            assert names == tuple(module_all), module
+
+
+def test_readme_names_every_module():
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"^Modules: (.*?)\n\n", readme, flags=re.M | re.S).group(1)
+    named = set(re.findall(r"`(\w+)`", paragraph))
+    on_disk = {p.stem for p in Path(SRC, "leavitt").glob("*.py")} - {"__init__"}
+    assert named == on_disk
 
 
 def test_every_public_name_is_the_attribute_of_its_submodule():

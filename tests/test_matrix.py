@@ -110,6 +110,15 @@ def test_dimension_and_context_mismatches():
         MatrixElement([[one2, one2]])
 
 
+@pytest.mark.parametrize(
+    "rows, shown",
+    [([[1]], "int: 1"), (["ab", "cd"], "str: 'a'"), ([[LeavittElement.one(2, Q), None]] * 2, "NoneType: None")],
+)
+def test_entries_that_are_not_ring_elements_are_rejected(rows, shown):
+    with pytest.raises(TypeError, match=f"^entry must be a CohnElement or LeavittElement, got {shown}$"):
+        MatrixElement(rows)
+
+
 def test_matrix_trace_of_identity():
     eye = identity_matrix(LeavittElement.one(3, F2), 4)
     assert eye.trace() == F2.zero()  # 4 * 1 = 0 in characteristic 2
@@ -161,7 +170,7 @@ def test_string_round_trip():
     for _ in range(10):
         a = random_matrix(2, 3, F2, rng)
         rows = a.to_strings()
-        back = matrix_from_strings(rows, 3, F2, leavitt=True)
+        back = matrix_from_strings(rows, 3, F2)
         assert back == a
         assert back.to_strings() == rows
 
@@ -254,7 +263,7 @@ def test_hash_agrees_with_equality():
     rng = random.Random(29)
     for _ in range(10):
         a = random_matrix(2, 2, Q, rng)
-        b = matrix_from_strings(a.to_strings(), 2, Q, leavitt=True)
+        b = matrix_from_strings(a.to_strings(), 2, Q)
         assert a == b and hash(a) == hash(b)
         assert len({a, b, a + a - a}) == 1
 

@@ -163,6 +163,19 @@ def test_malformed_witness_document_rejected(change):
         witness_from_doc(doc)
 
 
+_GOOD_PAIR = build_witness(Q, 2, 1).pairs[0]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [(_GOOD_PAIR, (1, 2)), (_GOOD_PAIR[:1],), (_GOOD_PAIR * 2,), (None,), ("ab",)],
+    ids=["ints", "one-matrix", "four-matrices", "none", "str"],
+)
+def test_witness_pairs_that_are_not_two_matrices_are_rejected(pairs):
+    with pytest.raises(ValueError, match="^malformed witness: each pair must be two MatrixElements$"):
+        verify_witness(BracketWitness(Q, 2, 1, pairs))
+
+
 def test_trace_obstruction_blocks_witnesses_in_simple_configurations():
     rng = random.Random(23)
     for n, p, d in ((3, 2, 1), (4, 3, 2), (3, 2, 3)):
