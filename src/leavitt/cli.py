@@ -34,15 +34,13 @@ class _UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse reports usage errors through error(); raising keeps them on
     # the JSON path in main.  Subparsers are built from this class too.
+    # Flags are matched only when spelled in full: a prefix such as --n
+    # would otherwise be read as --n-range on grid.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
-
-
-class _Refuse(argparse.Action):
-    """Rejects a flag that the command takes no value from."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(f"argument {option_string}: not accepted by this command")
 
 
 def _int_setting(text: str, where: str) -> int:
@@ -250,11 +248,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-range", required=True, help="inclusive range lo:hi or a single value")
     p.add_argument("--witnesses", action="store_true", help="also build and verify witnesses for non-simple rows")
     p.add_argument("--probe", action="store_true", help="also run the nontriviality probe per row")
-    # grid sweeps its own ranges.  The session flags are refused by name, as
-    # argparse would otherwise read --n, --d and --char as abbreviations of
-    # --n-range, --d-range and --chars.
-    for flag in ("--n", "--d", "--char", "--mode", "--config"):
-        p.add_argument(flag, action=_Refuse, help=argparse.SUPPRESS)
     _add_pretty(p)
     p.set_defaults(handler=_cmd_grid)
 

@@ -8,7 +8,10 @@ Internally that mapping is a plain dict {(xs, ys): value}: xs and ys are the
 letter tuples of I and J, and value is what `Scalar.value` would hold (a
 reduced `Fraction` over Q, an int in [1, p) over F_p), never zero.  The field
 and the alphabet size are stored once per element.  Public constructors check
-their input; ring operations build results through the trusted `_raw`.
+their input; ring operations build results through the trusted `_raw`.  What
+does not depend on the product (sums, scaling, powers, the trace functional,
+equality, printing) lives in `_Element`, which CohnElement shares with the
+elements of the Leavitt quotient.
 
 A product sums the pair products into one integer map (over Q each factor is
 first scaled to integer numerators over one denominator) and builds each
@@ -26,7 +29,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple, Type, TypeVar
 
 from .coeffs import FieldSpec, Scalar, _check_int
 
@@ -249,36 +252,24 @@ class _Terms(Mapping):
         raise KeyError(mono)
 
 
-class CohnElement:
-    """A finite linear combination of basis monomials, in canonical sparse form.
+_E = TypeVar("_E", bound="_Element")
+
+
+class _Element:
+    """What the Cohn algebra and its Leavitt quotient share: a field, an
+    alphabet size and a raw term map, with the operations that do not
+    depend on the algebra's product.
 
     The term map never stores a zero coefficient, so equality of elements is
-    equality of the maps.  Instances are immutable: `terms` is a read-only
-    Monomial -> Scalar view, and no method mutates the map behind it.
+    equality of the maps.  Instances are immutable: no method mutates the
+    map, so results may share it.  Elements of two different classes never
+    mix: `_check` and `==` compare exact types.
     """
 
     __slots__ = ("spec", "n", "_terms")
 
-    def __init__(self, spec: FieldSpec, n: int, terms: Mapping):
-        _check_alphabet(n)
-        raw = {}
-        for m, c in terms.items():
-            if not isinstance(m, Monomial):
-                raise TypeError(f"term key must be a Monomial, got {type(m).__name__}: {m!r}")
-            if not isinstance(c, Scalar):
-                raise TypeError(f"coefficient of {m!r} must be a Scalar, got {type(c).__name__}: {c!r}")
-            if m.n != n:
-                raise ValueError(f"monomial alphabet {m.n} does not match element alphabet {n}")
-            if c.spec != spec:
-                raise ValueError(f"coefficient field {c.spec} does not match element field {spec}")
-            if not c.is_zero():
-                raw[(m.xs.letters, m.ys.letters)] = c.value
-        self.spec = spec
-        self.n = n
-        self._terms = raw
-
     @classmethod
-    def _raw(cls, spec: FieldSpec, n: int, terms: Dict) -> "CohnElement":
+    def _raw(cls: Type[_E], spec: FieldSpec, n: int, terms: Dict) -> _E:
         """Trusted constructor: terms is a raw map in canonical form, owned by the result."""
         e = object.__new__(cls)
         e.spec = spec
@@ -286,48 +277,38 @@ class CohnElement:
         e._terms = terms
         return e
 
-    @property
-    def terms(self) -> Mapping:
-        return _Terms(self)
-
-    @classmethod
-    def zero(cls, n: int, spec: FieldSpec) -> "CohnElement":
-        _check_alphabet(n)
-        return cls._raw(spec, n, {})
-
-    @classmethod
-    def one(cls, n: int, spec: FieldSpec) -> "CohnElement":
-        _check_alphabet(n)
-        return cls._raw(spec, n, {((), ()): _raw_one(spec)})
-
-    @classmethod
-    def from_monomial(
-        cls, mono: Monomial, spec: FieldSpec, coeff: Optional[Scalar] = None
-    ) -> "CohnElement":
-        return cls(spec, mono.n, {mono: spec.one() if coeff is None else coeff})
-
-    def _check(self, other: "CohnElement") -> None:
-        if not isinstance(other, CohnElement):
-            raise TypeError(f"expected CohnElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise ValueError(f"mismatched fields: {self.spec} vs {other.spec}")
-        if other.n != self.n:
-            raise ValueError(f"mismatched alphabet sizes: {self.n} vs {other.n}")
-
-    def _like(self, terms: Dict) -> "CohnElement":
-        e = object.__new__(CohnElement)
+    def _like(self: _E, terms: Dict) -> _E:
+        e = object.__new__(type(self))
         e.spec = self.spec
         e.n = self.n
         e._terms = terms
         return e
 
+    @classmethod
+    def zero(cls: Type[_E], n: int, spec: FieldSpec) -> _E:
+        _check_alphabet(n)
+        return cls._raw(spec, n, {})
+
+    @classmethod
+    def one(cls: Type[_E], n: int, spec: FieldSpec) -> _E:
+        _check_alphabet(n)
+        return cls._raw(spec, n, {((), ()): _raw_one(spec)})
+
+    def _check(self, other: "_Element") -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other.spec != self.spec:
+            raise ValueError(f"mismatched fields: {self.spec} vs {other.spec}")
+        if other.n != self.n:
+            raise ValueError(f"mismatched alphabet sizes: {self.n} vs {other.n}")
+
     def is_zero(self) -> bool:
         return not self._terms
 
-    def zero_like(self) -> "CohnElement":
+    def zero_like(self: _E) -> _E:
         return self._like({})
 
-    def __add__(self, other: "CohnElement") -> "CohnElement":
+    def __add__(self: _E, other: _E) -> _E:
         self._check(other)
         p = self.spec.characteristic
         out = dict(self._terms)
@@ -335,11 +316,11 @@ class CohnElement:
             _absorb(out, m, c, p)
         return self._like(out)
 
-    def __neg__(self) -> "CohnElement":
+    def __neg__(self: _E) -> _E:
         p = self.spec.characteristic
         return self._like({m: p - c if p else -c for m, c in self._terms.items()})
 
-    def __sub__(self, other: "CohnElement") -> "CohnElement":
+    def __sub__(self: _E, other: _E) -> _E:
         self._check(other)
         p = self.spec.characteristic
         out = dict(self._terms)
@@ -347,14 +328,14 @@ class CohnElement:
             _absorb(out, m, p - c if p else -c, p)
         return self._like(out)
 
-    def scale(self, s: Scalar) -> "CohnElement":
+    def scale(self: _E, s: Scalar) -> _E:
         if not isinstance(s, Scalar):
             raise TypeError(f"expected Scalar, got {type(s).__name__}")
         if s.spec != self.spec:
             raise ValueError(f"mismatched fields: {self.spec} vs {s.spec}")
         return self._times(s.value)
 
-    def _times(self, v) -> "CohnElement":
+    def _times(self: _E, v) -> _E:
         """Multiply every coefficient by v, an int (reduced mod p over F_p) or a Fraction."""
         if not v:
             return self.zero_like()
@@ -364,20 +345,19 @@ class CohnElement:
         return self._like({m: v * c for m, c in self._terms.items()})
 
     def __mul__(self, other):
+        """Multiplication by a Scalar or an int; each algebra multiplies its own elements."""
         if isinstance(other, Scalar):
             return self.scale(other)
         p = self.spec.characteristic
-        if isinstance(other, int):
-            return self._times(other % p if p else other)
-        self._check(other)
-        return self._product(other, False)
+        return self._times(other % p if p else other)
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
             return self * other
         return NotImplemented
 
-    def __pow__(self, exponent: int) -> "CohnElement":
+    def __pow__(self: _E, exponent: int) -> _E:
+        _check_int(exponent, "exponent")
         if exponent < 1:
             raise ValueError(f"exponent must be at least 1, got {exponent}")
         out = self
@@ -385,13 +365,8 @@ class CohnElement:
             out = out * self
         return out
 
-    def bracket(self, other: "CohnElement") -> "CohnElement":
-        """The commutator ab - ba, summed in one pass over both products."""
-        self._check(other)
-        return self._product(other, True)
-
-    def _product(self, other: "CohnElement", commutator: bool) -> "CohnElement":
-        """ab, or ab - ba when commutator is set, built from one integer accumulator."""
+    def _product(self, other: "_Element", commutator: bool) -> Dict:
+        """The raw map of ab, or of ab - ba when commutator is set, built from one integer accumulator."""
         p = self.spec.characteristic
         a, b, den = self._terms, other._terms, 1
         if p == 0:
@@ -405,13 +380,13 @@ class CohnElement:
         if commutator:
             _accumulate(acc, b, a, -1)
         if p == 0:
-            return self._like({m: Fraction(v, den) for m, v in acc.items() if v})
+            return {m: Fraction(v, den) for m, v in acc.items() if v}
         out = {}
         for m, v in acc.items():
             v %= p
             if v:
                 out[m] = v
-        return self._like(out)
+        return out
 
     def trace(self) -> Scalar:
         """Sum of the coefficients of the monomials x_I y_J with I = rev(J).
@@ -422,16 +397,9 @@ class CohnElement:
         total = sum(c for (xs, ys), c in self._terms.items() if xs == ys[::-1])
         return Scalar(self.spec, total)
 
-    def degree_split(self) -> Dict[int, "CohnElement"]:
-        """Partition into homogeneous parts under deg(x_i) = 1, deg(y_i) = -1."""
-        parts: Dict[int, Dict] = {}
-        for m, c in self._terms.items():
-            parts.setdefault(len(m[0]) - len(m[1]), {})[m] = c
-        return {d: self._like(t) for d, t in sorted(parts.items())}
-
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, CohnElement)
+            type(other) is type(self)
             and self.spec == other.spec
             and self.n == other.n
             and self._terms == other._terms
@@ -462,7 +430,62 @@ class CohnElement:
         return "".join(chunks)
 
     def __repr__(self) -> str:
-        return f"<CohnElement n={self.n} over {self.spec}: {self}>"
+        return f"<{type(self).__name__} n={self.n} over {self.spec}: {self}>"
+
+
+class CohnElement(_Element):
+    """A finite linear combination of basis monomials, in canonical sparse form.
+
+    `terms` is a read-only Monomial -> Scalar view over the term map.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, spec: FieldSpec, n: int, terms: Mapping):
+        _check_alphabet(n)
+        raw = {}
+        for m, c in terms.items():
+            if not isinstance(m, Monomial):
+                raise TypeError(f"term key must be a Monomial, got {type(m).__name__}: {m!r}")
+            if not isinstance(c, Scalar):
+                raise TypeError(f"coefficient of {m!r} must be a Scalar, got {type(c).__name__}: {c!r}")
+            if m.n != n:
+                raise ValueError(f"monomial alphabet {m.n} does not match element alphabet {n}")
+            if c.spec != spec:
+                raise ValueError(f"coefficient field {c.spec} does not match element field {spec}")
+            if not c.is_zero():
+                raw[(m.xs.letters, m.ys.letters)] = c.value
+        self.spec = spec
+        self.n = n
+        self._terms = raw
+
+    @property
+    def terms(self) -> Mapping:
+        return _Terms(self)
+
+    @classmethod
+    def from_monomial(
+        cls, mono: Monomial, spec: FieldSpec, coeff: Optional[Scalar] = None
+    ) -> "CohnElement":
+        return cls(spec, mono.n, {mono: spec.one() if coeff is None else coeff})
+
+    def degree_split(self) -> Dict[int, "CohnElement"]:
+        """Partition into homogeneous parts under deg(x_i) = 1, deg(y_i) = -1."""
+        parts: Dict[int, Dict] = {}
+        for m, c in self._terms.items():
+            parts.setdefault(len(m[0]) - len(m[1]), {})[m] = c
+        return {d: self._like(t) for d, t in sorted(parts.items())}
+
+    def __mul__(self, other):
+        if isinstance(other, (Scalar, int)):
+            return super().__mul__(other)
+        self._check(other)
+        return self._like(self._product(other, False))
+
+    def bracket(self, other: "CohnElement") -> "CohnElement":
+        """The commutator ab - ba, summed in one pass over both products."""
+        self._check(other)
+        return self._like(self._product(other, True))
 
 
 def x_word(word: Word, spec: FieldSpec) -> CohnElement:

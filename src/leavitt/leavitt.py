@@ -19,14 +19,18 @@ with n, and let m = min(r, s).  Rewriting the junction m times gives
 
 every term of which is junction-free.  Reducing an element is one pass
 over its terms, linear in the letters of the output.
+
+A LeavittElement holds the junction-free term map itself and shares the
+Cohn element's linear operations; its product reduces the raw Cohn
+product of the two maps.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .coeffs import FieldSpec, Scalar
-from .cohn import CohnElement, Word, _absorb, _mono_text, _order, x_gen, x_word, y_gen
+from .coeffs import FieldSpec, Scalar, _check_int
+from .cohn import CohnElement, Word, _absorb, _Element, _mono_text, _order, x_gen, x_word, y_gen
 
 __all__ = [
     "LeavittElement",
@@ -55,44 +59,44 @@ class RewriteStep(NamedTuple):
     right: Word
 
 
-def _reduce(element: CohnElement, trace: Optional[List[RewriteStep]]) -> CohnElement:
-    spec, n = element.spec, element.n
+def _reduce(terms: Dict, spec: FieldSpec, n: int, trace: Optional[List[RewriteStep]]) -> Dict:
+    """Bring a raw term map, which it takes over, to its normal form, and return it."""
     p = spec.characteristic
-    # junction-free terms are copied through; rewriting never yields a junction
-    out = dict(element._terms)
-    junctions = [(m, out.pop(m)) for m in element._terms if _has_junction(*m, n)]
-    for (left, right), c in junctions:
+    # junction-free terms stay where they are; rewriting never yields a junction
+    for left, right in [m for m in terms if _has_junction(*m, n)]:
+        c = terms.pop((left, right))
         neg = p - c if p else -c
         while _has_junction(left, right, n):
             left, right = left[:-1], right[1:]
             if trace is not None:
                 trace.append(RewriteStep(Scalar(spec, neg), Word(left, n), Word(right, n)))
             for i in range(1, n):
-                _absorb(out, (left + (i,), (i,) + right), neg, p)
-        _absorb(out, (left, right), c, p)
-    return CohnElement._raw(spec, n, out)
+                _absorb(terms, (left + (i,), (i,) + right), neg, p)
+        _absorb(terms, (left, right), c, p)
+    return terms
 
 
 def normal_form(c: CohnElement) -> "LeavittElement":
     """Reduce a Cohn element to its junction-free coset representative."""
-    return LeavittElement._wrap(_reduce(c, None))
+    return LeavittElement._raw(c.spec, c.n, _reduce(dict(c._terms), c.spec, c.n, None))
 
 
 def normal_form_with_trace(c: CohnElement) -> Tuple["LeavittElement", List[RewriteStep]]:
     """Normal form plus the rewrite trace witnessing membership in the ideal."""
     trace: List[RewriteStep] = []
-    return LeavittElement._wrap(_reduce(c, trace)), trace
+    return LeavittElement._raw(c.spec, c.n, _reduce(dict(c._terms), c.spec, c.n, trace)), trace
 
 
-class LeavittElement:
-    """An element of the Leavitt algebra, held as its normal-form representative.
+class LeavittElement(_Element):
+    """An element of the Leavitt algebra, held as the term map of its normal form.
 
-    Arithmetic is project-after-compute: operate on representatives in the
-    Cohn algebra, then reduce.  Equality of elements is equality of normal
-    forms.
+    The junction-free monomials are a basis of the quotient, so the linear
+    operations, equality and printing are those of the term map, shared with
+    the Cohn algebra.  A product is the Cohn product of the two maps, brought
+    to normal form.  `rep` is a CohnElement over the same map.
     """
 
-    __slots__ = ("rep",)
+    __slots__ = ()
 
     def __init__(self, rep: CohnElement):
         if not isinstance(rep, CohnElement):
@@ -102,86 +106,32 @@ class LeavittElement:
                 raise ValueError(
                     f"representative is not in normal form: junction monomial {_mono_text(xs, ys)}"
                 )
-        self.rep = rep
+        self.spec = rep.spec
+        self.n = rep.n
+        self._terms = rep._terms
 
-    @classmethod
-    def _wrap(cls, rep: CohnElement) -> "LeavittElement":
-        """Trusted constructor: rep is already junction-free."""
-        e = object.__new__(cls)
-        e.rep = rep
-        return e
-
-    @classmethod
-    def zero(cls, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls._wrap(CohnElement.zero(n, spec))
-
-    @classmethod
-    def one(cls, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls._wrap(CohnElement.one(n, spec))
+    @property
+    def rep(self) -> CohnElement:
+        """The normal-form representative, as a Cohn element."""
+        return CohnElement._raw(self.spec, self.n, self._terms)
 
     @classmethod
     def x_gen(cls, i: int, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls._wrap(x_gen(i, n, spec))
+        return cls._raw(spec, n, x_gen(i, n, spec)._terms)
 
     @classmethod
     def y_gen(cls, i: int, n: int, spec: FieldSpec) -> "LeavittElement":
-        return cls._wrap(y_gen(i, n, spec))
-
-    @property
-    def spec(self) -> FieldSpec:
-        return self.rep.spec
-
-    @property
-    def n(self) -> int:
-        return self.rep.n
-
-    def _check(self, other: "LeavittElement") -> None:
-        if not isinstance(other, LeavittElement):
-            raise TypeError(f"expected LeavittElement, got {type(other).__name__}")
-
-    def is_zero(self) -> bool:
-        return self.rep.is_zero()
-
-    def zero_like(self) -> "LeavittElement":
-        return LeavittElement._wrap(self.rep.zero_like())
-
-    def __add__(self, other: "LeavittElement") -> "LeavittElement":
-        # junction-free terms stay junction-free under addition
-        self._check(other)
-        return LeavittElement._wrap(self.rep + other.rep)
-
-    def __sub__(self, other: "LeavittElement") -> "LeavittElement":
-        self._check(other)
-        return LeavittElement._wrap(self.rep - other.rep)
-
-    def __neg__(self) -> "LeavittElement":
-        return LeavittElement._wrap(-self.rep)
-
-    def scale(self, s: Scalar) -> "LeavittElement":
-        return LeavittElement._wrap(self.rep.scale(s))
+        return cls._raw(spec, n, y_gen(i, n, spec)._terms)
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
-            return LeavittElement._wrap(self.rep * other)
+            return super().__mul__(other)
         self._check(other)
-        return normal_form(self.rep * other.rep)
-
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "LeavittElement":
-        if exponent < 1:
-            raise ValueError(f"exponent must be at least 1, got {exponent}")
-        out = self
-        for _ in range(exponent - 1):
-            out = out * self
-        return out
+        return self._like(_reduce(self._product(other, False), self.spec, self.n, None))
 
     def bracket(self, other: "LeavittElement") -> "LeavittElement":
         self._check(other)
-        return normal_form(self.rep.bracket(other.rep))
+        return self._like(_reduce(self._product(other, True), self.spec, self.n, None))
 
     def trace(self) -> Scalar:
         """The trace functional inherited from the Cohn algebra.
@@ -195,57 +145,47 @@ class LeavittElement:
                 f"trace undefined: characteristic {self.spec.characteristic} "
                 f"does not divide n-1 = {self.n - 1}"
             )
-        return self.rep.trace()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LeavittElement) and self.rep == other.rep
-
-    def __hash__(self):
-        return hash(self.rep)
-
-    def __str__(self) -> str:
-        return str(self.rep)
-
-    def __repr__(self) -> str:
-        return f"<LeavittElement n={self.n} over {self.spec}: {self}>"
+        return super().trace()
 
 
 def independence_check(words: Sequence[Word]) -> bool:
-    """Whether the images of the x-monomials of the given words are independent.
+    """Whether the images of the x-monomials of the given words are linearly independent.
 
-    Each x_I is already junction-free, so its coset keeps the single basis
-    monomial x_I; independence therefore reduces to the normal-form monomials
-    being pairwise distinct, which holds for any list of distinct words.
-    Duplicated input words are rejected.
+    Each x_I is junction-free, so its normal form is the single basis
+    monomial x_I; the normal forms are still eliminated as rows, as in
+    `dim_probe`.  Duplicated input words are rejected.
     """
     seen = set()
     for w in words:
+        if not isinstance(w, Word):
+            raise TypeError(f"expected Word, got {type(w).__name__}")
         if w.n != words[0].n:
             raise ValueError("words must share one alphabet")
         if w in seen:
             raise ValueError(f"duplicate word {w!r}")
         seen.add(w)
-    if not words:
-        return True
     spec = FieldSpec(0)  # independence over the prime field of Q suffices here
-    monomials = set()
-    for w in words:
-        terms = normal_form(x_word(w, spec)).rep._terms
-        if len(terms) != 1:
-            return False
-        monomials.update(terms)
-    return len(monomials) == len(words)
+    return _linearly_independent([normal_form(x_word(w, spec))._terms for w in words], 0)
 
 
 def _linearly_independent(rows: List[Dict], p: int) -> bool:
-    """Reduced row elimination over the sparse monomial support of raw term maps."""
+    """Row echelon elimination over the sparse monomial support of raw term maps.
+
+    Each stored row is scaled to 1 at its leading monomial, the greatest in
+    print order, which leads no other stored row.  A row is reduced only at
+    its own leading monomial, so a row that meets no stored leader costs
+    one step however many rows are stored.
+    """
     pivots: Dict = {}
     for row in rows:
         work = dict(row)
-        for piv, prow in pivots.items():
-            c = work.get(piv)
-            if c is None:
-                continue
+        while work:
+            piv = max(work, key=_order)
+            prow = pivots.get(piv)
+            if prow is None:
+                break
+            c = work[piv]
+            # prow's other monomials all lie below piv, so the leader falls
             for m, v in prow.items():
                 acc = work.get(m, 0) - c * v
                 if p:
@@ -256,7 +196,6 @@ def _linearly_independent(rows: List[Dict], p: int) -> bool:
                     work.pop(m, None)
         if not work:
             return False
-        piv = max(work, key=_order)
         inv = pow(work[piv], -1, p) if p else 1 / work[piv]
         pivots[piv] = {m: v * inv % p if p else v * inv for m, v in work.items()}
     return True
@@ -269,6 +208,7 @@ def dim_probe(J: int, n: int, spec: FieldSpec) -> bool:
     These brackets span an infinite independent family, so the probe holds
     for every J; it is still computed honestly by row elimination.
     """
+    _check_int(J, "J")
     if J < 1:
         raise ValueError(f"probe depth must be at least 1, got {J}")
     x1 = LeavittElement.x_gen(1, n, spec)
@@ -276,6 +216,6 @@ def dim_probe(J: int, n: int, spec: FieldSpec) -> bool:
     rows = []
     power = x2
     for _ in range(J):
-        rows.append(x1.bracket(power).rep._terms)
+        rows.append(x1.bracket(power)._terms)
         power = power * x2
     return _linearly_independent(rows, spec.characteristic)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence, Tuple
 
-from .coeffs import FieldSpec, Scalar, _check_shape
+from .coeffs import FieldSpec, Scalar, _check_int, _check_shape
 from .cohn import CohnElement, parse_element
 from .leavitt import LeavittElement, normal_form
 
@@ -200,6 +200,9 @@ def unit(element, i: int, j: int, d: int) -> MatrixElement:
 
     Indices are 1-based.
     """
+    _check_int(i, "i")
+    _check_int(j, "j")
+    _check_shape(element.n, d)
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"unit position ({i}, {j}) outside a {d} x {d} matrix")
     entries = {} if element.is_zero() else {(i - 1, j - 1): element}

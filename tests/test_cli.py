@@ -244,6 +244,12 @@ def test_grid_rejects_session_flags(capsys):
         assert doc["ok"] is False and flag in doc["reason"]
 
 
+def test_flags_must_be_spelled_in_full(capsys):
+    code, doc = run(capsys, "nf", "x1", "--pre")
+    assert code == 2
+    assert doc == {"ok": False, "reason": "unrecognized arguments: --pre"}
+
+
 def test_usage_errors_are_json_documents(capsys):
     for argv in ([], ["frobnicate"], ["nf"], ["simple", "--n", "three"]):
         code = main(argv)

@@ -71,8 +71,9 @@ def test_rejected_characteristic_never_enters_the_cache(monkeypatch, bad, error,
     assert coeffs._FIELDS == {2: two}
 
 
-# Every entry point that takes an algebra order n or a matrix dimension d
-# checks it with the one rule in `coeffs`: an int, not a bool.
+# Every entry point that takes an algebra order n, a matrix dimension d, a
+# matrix position, an exponent or a probe depth checks it with the one rule
+# in `coeffs`: an int, not a bool.
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -99,6 +100,13 @@ def test_rejected_characteristic_never_enters_the_cache(monkeypatch, bad, error,
         (lambda: leavitt.Word((), True), "n must be an int, got bool: True"),
         (lambda: leavitt.MatrixElement.zero(leavitt.LeavittElement.one(2, Q), 2.0), "d must be an int, got float: 2.0"),
         (lambda: leavitt.identity_matrix(leavitt.LeavittElement.one(2, Q), True), "d must be an int, got bool: True"),
+        (lambda: leavitt.unit(leavitt.LeavittElement.one(2, Q), 1, 1, 2.0), "d must be an int, got float: 2.0"),
+        (lambda: leavitt.unit(leavitt.LeavittElement.one(2, Q), 1.0, 1, 2), "i must be an int, got float: 1.0"),
+        (lambda: leavitt.unit(leavitt.LeavittElement.one(2, Q), 1, True, 2), "j must be an int, got bool: True"),
+        (lambda: leavitt.LeavittElement.one(2, Q) ** True, "exponent must be an int, got bool: True"),
+        (lambda: leavitt.LeavittElement.one(2, Q) ** 2.0, "exponent must be an int, got float: 2.0"),
+        (lambda: leavitt.CohnElement.one(2, Q) ** 2.0, "exponent must be an int, got float: 2.0"),
+        (lambda: leavitt.dim_probe(2.0, 2, Q), "J must be an int, got float: 2.0"),
     ],
     ids=[
         "is_simple-d-float", "is_simple-n-float", "is_simple-n-bool", "build_witness-d-bool",
@@ -107,6 +115,8 @@ def test_rejected_characteristic_never_enters_the_cache(monkeypatch, bad, error,
         "ideal_generator-n-float", "parse_element-n-float", "parse_element-n-bool",
         "x_gen-n-float", "y_gen-n-bool", "leavitt_x_gen-n-float", "leavitt_y_gen-n-float",
         "word-n-float", "word-n-bool", "matrix_zero-d-float", "identity_matrix-d-bool",
+        "unit-d-float", "unit-i-float", "unit-j-bool", "leavitt_pow-bool", "leavitt_pow-float",
+        "cohn_pow-float", "dim_probe-J-float",
     ],
 )
 def test_non_integer_sizes_are_rejected(build, message):

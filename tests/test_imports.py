@@ -5,6 +5,7 @@ paid for on every command.  The footprint checks run in fresh interpreters
 and read `sys.modules` afterwards.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -87,6 +88,14 @@ def test_verdict_commands_load_no_algebra_module(tmp_path):
     assert loaded == {"leavitt", "leavitt.cli", "leavitt.parser", "leavitt.coeffs", "leavitt.simplicity"}
 
 
+def test_grid_probe_loads_no_matrix_module(tmp_path):
+    loaded = loaded_after(
+        [[["grid", "--chars", "0,2", "--n-range", "2:3", "--d-range", "1:2", "--probe"], 0]], tmp_path
+    )
+    assert "leavitt.leavitt" in loaded
+    assert "leavitt.matrix" not in loaded
+
+
 def test_no_command_loads_dataclasses(tmp_path):
     (tmp_path / "m.json").write_text(json.dumps([["x[1]*y[1]", "0"], ["0", "1"]]))
     loaded = loaded_after(
@@ -151,3 +160,19 @@ def test_star_import_and_dir_in_a_fresh_process(tmp_path):
 def test_unknown_attribute_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"module 'leavitt' has no attribute '{name}'"):
         getattr(leavitt, name)
+
+
+def test_every_traced_boundary_is_defined_where_the_tracer_patches_it():
+    # perfbench's tracer replaces each class-level boundary in its class's
+    # own namespace and each function by name in its module; a method that
+    # moved to a base class would escape it without an error.
+    path = Path(SRC).parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for span, module_name, cls, attr in tracing.BOUNDARIES:
+        module = import_module(module_name)
+        if cls is not None:
+            assert attr in vars(getattr(module, cls)), span
+        else:
+            assert getattr(vars(module).get(attr), "__module__", None) == module_name, span

@@ -1,7 +1,10 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
+import leavitt.leavitt as leavitt_module
 from leavitt import (
     CohnElement,
     FieldSpec,
@@ -160,6 +163,17 @@ def test_direct_construction_rejects_junction_representatives():
 # --- quotient arithmetic -----------------------------------------------------
 
 
+def test_leavitt_element_is_a_term_map_beside_the_cohn_element():
+    # the quotient holds its normal form's map itself; rep is a view over it
+    c = mono_elem((1,), (2,)) + CohnElement.one(2, Q)
+    a = LeavittElement(c)
+    assert LeavittElement.__slots__ == () and a._terms is c._terms
+    assert not isinstance(a, CohnElement) and not isinstance(c, LeavittElement)
+    assert a.rep == c and type(a.rep) is CohnElement and a.rep._terms is a._terms
+    assert a != c and c != a
+    assert hash(a) == hash(c) and repr(a) == "<LeavittElement n=2 over Q: 1 + x[1]*y[2]>"
+
+
 def test_mixing_leavitt_and_cohn_operands_is_a_type_error():
     a = LeavittElement.x_gen(1, 2, Q)
     for op in (lambda: a + a.rep, lambda: a - a.rep, lambda: a * a.rep, lambda: a.bracket(a.rep)):
@@ -253,6 +267,19 @@ def test_independence_rejects_duplicates():
         independence_check([Word((1,), 2), Word((1,), 2)])
 
 
+def test_independence_rejects_what_is_not_a_word():
+    with pytest.raises(TypeError, match="^expected Word, got tuple$"):
+        independence_check([Word((1,), 2), (1,)])
+
+
+def test_independence_check_eliminates_the_normal_forms(monkeypatch):
+    rows = []
+    eliminate = leavitt_module._linearly_independent
+    monkeypatch.setattr(leavitt_module, "_linearly_independent", lambda r, p: rows.extend(r) or eliminate(r, p))
+    assert independence_check([Word((1,), 2), Word((2, 1), 2)])
+    assert rows == [{((1,), ()): 1}, {((2, 1), ()): 1}]
+
+
 def test_independence_over_all_short_words():
     words = [Word((), 2)]
     frontier = [()]
@@ -260,6 +287,30 @@ def test_independence_over_all_short_words():
         frontier = [seq + (i,) for seq in frontier for i in (1, 2)]
         words.extend(Word(seq, 2) for seq in frontier)
     assert independence_check(words)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_elimination_matches_a_search_over_all_combinations(p):
+    # rows are dependent exactly when some nonzero coefficient vector sums them to zero
+    rng = random.Random(p)
+    monos = [((), ()), ((1,), ()), ((), (1,)), ((1,), (2,)), ((2, 1), ())]
+    for _ in range(300):
+        rows = [{m: rng.randrange(1, p) for m in rng.sample(monos, rng.randint(1, 3))}
+                for _ in range(rng.randint(1, 4))]
+        dependent = any(
+            not any(sum(c * r.get(m, 0) for c, r in zip(cs, rows)) % p for m in monos)
+            for cs in itertools.product(range(p), repeat=len(rows)) if any(cs)
+        )
+        assert leavitt_module._linearly_independent(rows, p) is not dependent, rows
+
+
+def test_elimination_over_the_rationals():
+    a = {((1,), ()): Fraction(1), ((), (1,)): Fraction(2)}
+    b = {((), (1,)): Fraction(1, 2), ((), ()): Fraction(1)}
+    a_minus_4b = {((1,), ()): Fraction(1), ((), ()): Fraction(-4)}
+    assert leavitt_module._linearly_independent([a, b], 0)
+    assert not leavitt_module._linearly_independent([a, b, a_minus_4b], 0)
+    assert not leavitt_module._linearly_independent([b, a_minus_4b, a], 0)
 
 
 def test_dim_probe():

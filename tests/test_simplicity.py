@@ -176,6 +176,11 @@ def test_witness_pairs_that_are_not_two_matrices_are_rejected(pairs):
         verify_witness(BracketWitness(Q, 2, 1, pairs))
 
 
+def test_witness_whose_field_is_not_a_field_spec_is_rejected():
+    with pytest.raises(ValueError, match="^malformed witness: the field must be a FieldSpec, got NoneType$"):
+        verify_witness(BracketWitness(None, 2, 1, ()))
+
+
 def test_trace_obstruction_blocks_witnesses_in_simple_configurations():
     rng = random.Random(23)
     for n, p, d in ((3, 2, 1), (4, 3, 2), (3, 2, 3)):
