@@ -172,6 +172,10 @@ class Scalar:
         return Scalar(self.spec, self.value - other.value)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        # Another operand (an element or a matrix) gets to scale itself by
+        # self through its __rmul__.
+        if not isinstance(other, Scalar):
+            return NotImplemented
         self._check(other)
         return Scalar(self.spec, self.value * other.value)
 

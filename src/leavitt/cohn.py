@@ -14,13 +14,14 @@ equality, printing) lives in `_Element`, which CohnElement shares with the
 elements of the Leavitt quotient.
 
 A product sums the pair products into one integer map (over Q each factor is
-first scaled to integer numerators over one denominator) and builds each
-output coefficient once.  A left term x_I y_J with J nonempty only scans the
-right terms whose K is empty or starts with the last letter of J, found by
-one lookup in an index of the right factor by first x-letter; a left term
-with J empty meets every right term.  A bracket adds
-both ab and -ba into the same map, so it makes one pass with no intermediate
-product.  It raises TypeError for an operand that is not a CohnElement.
+first scaled to integer numerators over one denominator).  Over Q it then
+builds one `Fraction` per distinct output value, which every term with that
+value shares.  A left term x_I y_J with J nonempty only scans the right
+terms whose K is empty or starts with the last letter of J, found by one
+lookup in an index of the right factor by first x-letter; a left term with
+J empty meets every right term.  A bracket adds both ab and -ba into the
+same map, so it makes one pass with no intermediate product.  It raises
+TypeError for an operand that is not a CohnElement.
 """
 
 from __future__ import annotations
@@ -366,7 +367,10 @@ class _Element:
         return out
 
     def _product(self, other: "_Element", commutator: bool) -> Dict:
-        """The raw map of ab, or of ab - ba when commutator is set, built from one integer accumulator."""
+        """The raw map of ab, or of ab - ba when commutator is set, built from one integer accumulator.
+
+        Over Q each distinct output value is one Fraction, shared by every term that has it.
+        """
         p = self.spec.characteristic
         a, b, den = self._terms, other._terms, 1
         if p == 0:
@@ -380,7 +384,8 @@ class _Element:
         if commutator:
             _accumulate(acc, b, a, -1)
         if p == 0:
-            return {m: Fraction(v, den) for m, v in acc.items() if v}
+            value = {v: Fraction(v, den) for v in set(acc.values()) if v}
+            return {m: value[v] for m, v in acc.items() if v}
         out = {}
         for m, v in acc.items():
             v %= p

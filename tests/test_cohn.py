@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -130,16 +131,19 @@ def test_multi_term_product_matches_the_oracle(p):
     for _ in range(40):
         n = rng.randint(2, 4)
         ta, tb = _random_terms(n, spec, rng), _random_terms(n, spec, rng)
-        expected = {}
+        expected, expected_ba = {}, {}
         for ma, ca in ta.items():
             for mb, cb in tb.items():
-                m = oracle_mul(ma, mb)
-                if m is not None:
-                    expected[m] = expected.get(m, spec.zero()) + ca * cb
+                for out, m in ((expected, oracle_mul(ma, mb)), (expected_ba, oracle_mul(mb, ma))):
+                    if m is not None:
+                        out[m] = out.get(m, spec.zero()) + ca * cb
         a, b = CohnElement(spec, n, ta), CohnElement(spec, n, tb)
         ab = a * b
         assert ab == CohnElement(spec, n, expected)
-        for x in (a, b, ab):
+        bracket = a.bracket(b)
+        assert bracket == ab - CohnElement(spec, n, expected_ba)
+        for x in (a, b, ab, bracket):
+            _assert_canonical(x)
             rebuilt = CohnElement(spec, n, x.terms)
             assert rebuilt == x and hash(rebuilt) == hash(x)
             assert parse_element(str(x), n, spec) == x
@@ -160,6 +164,14 @@ def test_int_scaling_operators():
     a = elem((1,), ())
     assert 3 * a == a * 3
     assert (2 * a).terms[mono((1,), ())] == Scalar(Q, 2)
+    s = Scalar(Q, Fraction(-2, 3))
+    leavitt = normal_form(a + y_gen(2, 3, Q))
+    for x in (a, leavitt):
+        assert s * x == x * s == x.scale(s)
+        with pytest.raises(ValueError, match="mismatched fields"):
+            Scalar(F5, 2) * x
+    with pytest.raises(TypeError, match="unsupported operand"):
+        s * 3
 
 
 def test_power():
@@ -491,7 +503,7 @@ def _assert_canonical(e):
     for (xs, ys), v in e._terms.items():
         assert all(type(i) is int for i in xs + ys)
         assert type(v) is (int if p else Fraction) and v != 0
-        assert not p or 0 < v < p
+        assert 0 < v < p if p else v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
 
 
 def test_builders_give_canonical_raw_terms():

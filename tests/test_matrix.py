@@ -163,6 +163,10 @@ def test_scaling():
     one = LeavittElement.one(2, Q)
     eye = identity_matrix(one, 2)
     assert eye.scale(Scalar(Q, 3)) == eye * 3
+    s = Scalar(Q, -3)
+    assert s * eye == eye * s == eye.scale(s)
+    with pytest.raises(ValueError, match="mismatched fields"):
+        Scalar(F2, 1) * eye
 
 
 def test_string_round_trip():
