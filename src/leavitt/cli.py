@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 # Each command imports the modules beyond the parser that it runs, inside
 # its handler, as a process runs exactly one command.
-from .parser import ParseError, SessionConfig, evaluate, parse
+from .parser import _MODES, ParseError, SessionConfig, evaluate, parse
 
 ENV_CHAR = "LEAVITT_CHAR"
 
@@ -24,7 +24,8 @@ ENV_CHAR = "LEAVITT_CHAR"
 # its first row, as the rows are only printed once all are done.
 MAX_GRID_ROWS = 10_000
 
-_DEFAULTS = {"n": 2, "d": 1, "char": 0, "mode": "leavitt"}
+# Each flag and config-file key, and the SessionConfig field it sets.
+_SETTINGS = {"n": "n", "d": "d", "char": "characteristic", "mode": "mode"}
 
 
 class _UsageError(Exception):
@@ -61,33 +62,28 @@ def _read_config_file(path: str) -> Dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _DEFAULTS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = value
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> SessionConfig:
-    """Layer the session settings: flags > config file > environment > defaults."""
-    merged = dict(_DEFAULTS)
+    """Layer the session settings: flags > config file > environment > SessionConfig's defaults."""
+    settings = {}
     env_char = os.environ.get(ENV_CHAR)
     if env_char is not None:
-        merged["char"] = _int_setting(env_char, ENV_CHAR)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_values = _read_config_file(config_path)
-        for key in ("n", "d", "char"):
-            if key in file_values:
-                merged[key] = _int_setting(file_values[key], f"{config_path}: {key}")
-        if "mode" in file_values:
-            merged["mode"] = file_values["mode"]
-    for key in ("n", "d", "char", "mode"):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return SessionConfig(
-        n=merged["n"], d=merged["d"], characteristic=merged["char"], mode=merged["mode"]
-    )
+        settings["characteristic"] = _int_setting(env_char, ENV_CHAR)
+    file_values = _read_config_file(args.config) if args.config else {}
+    for key, field in _SETTINGS.items():  # a file's integers are checked in this order
+        if key in file_values:
+            value = file_values[key]
+            if isinstance(SessionConfig._field_defaults[field], int):
+                value = _int_setting(value, f"{args.config}: {key}")
+            settings[field] = value
+        if (flag := getattr(args, key)) is not None:
+            settings[field] = flag
+    return SessionConfig(**settings)
 
 
 def _result_text(value, cfg: SessionConfig) -> object:
@@ -187,14 +183,15 @@ def _cmd_grid(args) -> object:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--n", type=int, default=None, help="algebra order (default 2)")
-    sub.add_argument("--d", type=int, default=None, help="matrix dimension (default 1)")
+    defaults = SessionConfig._field_defaults
+    sub.add_argument("--n", type=int, default=None, help=f"algebra order (default {defaults['n']})")
+    sub.add_argument("--d", type=int, default=None, help=f"matrix dimension (default {defaults['d']})")
     sub.add_argument(
         "--char", type=int, default=None, help="field characteristic, 0 for the rationals"
     )
     sub.add_argument(
-        "--mode", choices=("cohn", "leavitt", "matrix"), default=None,
-        help="evaluation algebra (default leavitt)",
+        "--mode", choices=_MODES, default=None,
+        help=f"evaluation algebra (default {defaults['mode']})",
     )
     sub.add_argument("--config", default=None, help="key=value config file")
     _add_pretty(sub)

@@ -50,6 +50,12 @@ def _check_int(value, name: str) -> int:
     return value
 
 
+def _check_spec(spec) -> None:
+    """TypeError unless spec is a FieldSpec."""
+    if not isinstance(spec, FieldSpec):
+        raise TypeError(f"spec must be a FieldSpec, got {type(spec).__name__}: {spec!r}")
+
+
 def _check_shape(n: int, d: int) -> None:
     """The sizes the paper's theorem is stated for: int n >= 2 and int d >= 1."""
     _check_int(n, "n")

@@ -27,6 +27,11 @@ def _absorb(out: Dict, pos: Tuple[int, int], value) -> None:
         out[pos] = value
 
 
+def _check_entry(e) -> None:
+    if not isinstance(e, (CohnElement, LeavittElement)):
+        raise TypeError(f"entry must be a CohnElement or LeavittElement, got {type(e).__name__}: {e!r}")
+
+
 def _square_size(rows: Sequence[Sequence]) -> int:
     d = len(rows)
     if d < 1 or any(len(r) != d for r in rows):
@@ -52,8 +57,7 @@ class MatrixElement:
         stored = {}
         for i, row in enumerate(rows):
             for j, e in enumerate(row):
-                if not isinstance(e, (CohnElement, LeavittElement)):
-                    raise TypeError(f"entry must be a CohnElement or LeavittElement, got {type(e).__name__}: {e!r}")
+                _check_entry(e)
                 if type(e) is not type(first) or e.spec != first.spec or e.n != first.n:
                     raise ValueError("entries must share one algebra, field and alphabet")
                 if not e.is_zero():
@@ -74,6 +78,7 @@ class MatrixElement:
     @classmethod
     def zero(cls, element, d: int) -> "MatrixElement":
         """The d x d zero matrix over the algebra of the given element."""
+        _check_entry(element)
         _check_shape(element.n, d)
         return cls._from_map(element.zero_like(), d, {})
 
@@ -202,6 +207,7 @@ def unit(element, i: int, j: int, d: int) -> MatrixElement:
     """
     _check_int(i, "i")
     _check_int(j, "j")
+    _check_entry(element)
     _check_shape(element.n, d)
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError(f"unit position ({i}, {j}) outside a {d} x {d} matrix")

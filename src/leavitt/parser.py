@@ -236,44 +236,30 @@ def print_expression(node: Expression) -> str:
 _MODES = ("cohn", "leavitt", "matrix")
 
 
-class SessionConfig:
-    """Evaluation context: alphabet size, matrix dimension, field, mode.
+class _SessionFields(NamedTuple):
+    n: int = 2
+    d: int = 1
+    characteristic: int = 0
+    mode: str = "leavitt"
 
-    Immutable, compared and hashed by value.
-    """
 
-    __slots__ = ("n", "d", "characteristic", "mode")
+class SessionConfig(_SessionFields):
+    """Evaluation context: alphabet size, matrix dimension, field, mode; checked when built."""
 
-    def __init__(self, n: int = 2, d: int = 1, characteristic: int = 0, mode: str = "leavitt"):
-        _check_shape(n, d)
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        FieldSpec(characteristic)  # validates primality
-        for name, value in zip(self.__slots__, (n, d, characteristic, mode)):
-            object.__setattr__(self, name, value)
+    __slots__ = ()
 
-    def _fields(self) -> Tuple[int, int, int, str]:
-        return self.n, self.d, self.characteristic, self.mode
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check_shape(self.n, self.d)
+        if self.mode not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        FieldSpec(self.characteristic)  # validates primality
+        return self
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return SessionConfig, self._fields()
-
-    def __repr__(self) -> str:
-        return "SessionConfig(n={!r}, d={!r}, characteristic={!r}, mode={!r})".format(*self._fields())
+    @classmethod
+    def _make(cls, iterable) -> "SessionConfig":
+        """Build through the checks, so that `_replace` checks its result too."""
+        return cls(*iterable)
 
     @property
     def spec(self) -> FieldSpec:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
-from .coeffs import FieldSpec, _check_shape
+from .coeffs import FieldSpec, _check_shape, _check_spec
 
 # The verdict needs only the field; the algebra and matrix modules are
 # imported by the functions that build or read matrices, so that `simple`
@@ -62,6 +62,7 @@ class BracketWitness(NamedTuple):
 def is_simple(spec: FieldSpec, n: int, d: int) -> SimplicityVerdict:
     """Decide simplicity of the derived Lie algebra for this configuration."""
     _check_shape(n, d)
+    _check_spec(spec)
     divides_n1 = spec.divides(n - 1)
     divides_d = spec.divides(d)
     if divides_n1 and not divides_d:
@@ -143,6 +144,7 @@ def nontriviality_probe(spec: FieldSpec, n: int, d: int) -> bool:
     from .leavitt import LeavittElement
 
     _check_shape(n, d)
+    _check_spec(spec)
     x1 = LeavittElement.x_gen(1, n, spec)
     x2 = LeavittElement.x_gen(2, n, spec)
     # the (1,1) unit matrix of an element is zero exactly when the element is

@@ -1,5 +1,5 @@
-"""Shared test utilities: random generators and the brute-force product and
-normal-form oracles."""
+"""Shared test utilities: random generators, the brute-force product and
+normal-form oracles, and the isomorphism L(n) -> M_n(L(n))."""
 
 from __future__ import annotations
 
@@ -7,7 +7,16 @@ import random
 from fractions import Fraction
 from typing import List, Optional
 
-from leavitt import CohnElement, FieldSpec, LeavittElement, Monomial, RewriteStep, Scalar, Word
+from leavitt import (
+    CohnElement,
+    FieldSpec,
+    LeavittElement,
+    MatrixElement,
+    Monomial,
+    RewriteStep,
+    Scalar,
+    Word,
+)
 
 
 def random_word(n: int, max_len: int, rng: random.Random) -> Word:
@@ -107,6 +116,29 @@ def oracle_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
     assert word == [("x", i) for i in xs] + [("y", i) for i in ys]
     n = a.xs.n
     return Monomial(Word(xs, n), Word(ys, n))
+
+
+def phi(a: LeavittElement) -> MatrixElement:
+    """The ring isomorphism L(n) -> M_n(L(n)), a -> (y_i a x_j)_{i,j}.
+
+    It is multiplicative because sum_k x_k y_k = 1, and unital because
+    y_i x_j is 1 when i = j and 0 otherwise; `phi_inverse` undoes it.
+    """
+    n, spec = a.n, a.spec
+    xs = [LeavittElement.x_gen(j, n, spec) for j in range(1, n + 1)]
+    ys = [LeavittElement.y_gen(i, n, spec) for i in range(1, n + 1)]
+    return MatrixElement([[y * a * x for x in xs] for y in ys])
+
+
+def phi_inverse(m: MatrixElement) -> LeavittElement:
+    """sum_{i,j} x_i m_ij y_j, the inverse of `phi` on n x n matrices."""
+    n, spec = m.n, m.spec
+    total = LeavittElement.zero(n, spec)
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            x, y = LeavittElement.x_gen(i, n, spec), LeavittElement.y_gen(j, n, spec)
+            total = total + x * m.entry(i - 1, j - 1) * y
+    return total
 
 
 def worklist_normal_form(

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from leavitt.cli import MAX_GRID_ROWS, main
+from leavitt import SessionConfig
+from leavitt.cli import ENV_CHAR, MAX_GRID_ROWS, _resolve_config, build_arg_parser, main
 
 
 def run(capsys, *argv):
@@ -156,8 +157,13 @@ def test_defaults_without_flags(capsys):
     assert doc["result"] == "1"
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
+def _resolved(*argv):
+    return _resolve_config(build_arg_parser().parse_args(["nf", "x1", *argv]))
+
+
+def test_config_file_and_flag_precedence(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "session.cfg"
+    monkeypatch.delenv(ENV_CHAR, raising=False)
     cfg.write_text("# session\nn = 3\nchar = 2\nmode = leavitt\n")
     code, doc = run(capsys, "trace", "x1*y1", "--config", str(cfg))
     assert code == 0
@@ -165,6 +171,27 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     # an explicit flag wins over the config file
     code, doc = run(capsys, "trace", "x1*y1", "--config", str(cfg), "--char", "5")
     assert code == 1
+    assert _resolved() == SessionConfig()
+    # the environment sits under the file, the file under the flags, and each
+    # layer changes only the settings it names
+    monkeypatch.setenv(ENV_CHAR, "3")
+    below = _resolved()
+    assert below == SessionConfig(characteristic=3)
+    for key, field, in_file, on_flag in (
+        ("n", "n", 3, 4), ("d", "d", 2, 3), ("char", "characteristic", 2, 5), ("mode", "mode", "cohn", "matrix")
+    ):
+        cfg.write_text(f"# session\n{key} = {in_file}\n")
+        assert _resolved("--config", str(cfg)) == below._replace(**{field: in_file})
+        flagged = _resolved("--config", str(cfg), f"--{key}", str(on_flag))
+        assert flagged == below._replace(**{field: on_flag})
+
+
+def test_config_file_integers_are_checked_in_a_fixed_order(tmp_path, monkeypatch, capsys):
+    # n is checked before d whatever the line order in the file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "session.cfg").write_text("d=x\nn=y\n")
+    assert main(["nf", "x1", "--config", "session.cfg"]) == 2
+    assert capsys.readouterr().out == '{"ok":false,"reason":"session.cfg: n must be an integer, got \'y\'"}\n'
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

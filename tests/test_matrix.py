@@ -13,11 +13,12 @@ from leavitt import (
     unit,
 )
 
-from helpers import random_cohn
+from helpers import phi, phi_inverse, random_cohn
 from leavitt.leavitt import normal_form
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
+F3 = FieldSpec(3)
 
 
 def random_matrix(d, n, spec, rng, leavitt=True):
@@ -111,12 +112,21 @@ def test_dimension_and_context_mismatches():
 
 
 @pytest.mark.parametrize(
-    "rows, shown",
-    [([[1]], "int: 1"), (["ab", "cd"], "str: 'a'"), ([[LeavittElement.one(2, Q), None]] * 2, "NoneType: None")],
+    "build, shown",
+    [
+        (lambda: MatrixElement([[1]]), "int: 1"),
+        (lambda: MatrixElement(["ab", "cd"]), "str: 'a'"),
+        (lambda: MatrixElement([[LeavittElement.one(2, Q), None]] * 2), "NoneType: None"),
+        (lambda: unit(3, 1, 1, 2), "int: 3"),
+        (lambda: identity_matrix(3, 2), "int: 3"),
+        (lambda: MatrixElement.zero(3, 2), "int: 3"),
+    ],
+    # the first three ids are the ones pytest gave these cases as row arrays, kept so their names stay stable
+    ids=["rows0-int: 1", "rows1-str: 'a'", "rows2-NoneType: None", "unit", "identity_matrix", "zero"],
 )
-def test_entries_that_are_not_ring_elements_are_rejected(rows, shown):
+def test_entries_that_are_not_ring_elements_are_rejected(build, shown):
     with pytest.raises(TypeError, match=f"^entry must be a CohnElement or LeavittElement, got {shown}$"):
-        MatrixElement(rows)
+        build()
 
 
 def test_matrix_trace_of_identity():
@@ -286,3 +296,22 @@ def test_matrix_from_strings_requires_a_square_list_of_lists_of_strings():
     for rows in ("1", ["1"], [[1]], [["1", "0"]], [], None, {"a": "1"}, [["0"], "0"]):
         with pytest.raises(ValueError):
             matrix_from_strings(rows, 2, Q)
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F3], ids=str)
+@pytest.mark.parametrize("n", [2, 3])
+def test_phi_is_a_ring_isomorphism_onto_n_by_n_matrices(spec, n):
+    # the matrix ring and the Leavitt product checked against each other
+    rng = random.Random(1000 * n + spec.characteristic)
+    one = LeavittElement.one(n, spec)
+    assert phi(one) == identity_matrix(one, n)
+    for _ in range(10):
+        a = normal_form(random_cohn(n, spec, rng, 4, 4))
+        b = normal_form(random_cohn(n, spec, rng, 4, 4))
+        assert phi(a * b) == phi(a) * phi(b)
+        assert phi(a + b) == phi(a) + phi(b)
+        assert phi(a.bracket(b)) == phi(a).bracket(phi(b))
+        assert phi_inverse(phi(a)) == a
+        if spec.divides(n - 1):
+            for c in (a, b, a * b):
+                assert phi(c).trace() == c.trace()

@@ -212,6 +212,14 @@ def test_session_config_is_an_immutable_value():
         with pytest.raises(AttributeError):
             delattr(cfg, field)
     assert (cfg.n, cfg.d, cfg.characteristic, cfg.mode) == (3, 2, 5, "cohn")
+    # a named tuple: equal to the plain tuple of its fields, and built through
+    # the same checks by _make and _replace
+    assert cfg == (3, 2, 5, "cohn") and tuple(cfg) == (3, 2, 5, "cohn")
+    assert cfg._replace(d=4) == SessionConfig(3, 4, 5, "cohn")
+    for build in (lambda: SessionConfig(n=1), lambda: cfg._replace(n=1),
+                  lambda: SessionConfig._make((1, 1, 0, "leavitt"))):
+        with pytest.raises(ValueError, match="^algebra order must be at least 2, got 1$"):
+            build()
 
 
 @pytest.mark.parametrize(

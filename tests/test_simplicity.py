@@ -179,6 +179,11 @@ def test_witness_pairs_that_are_not_two_matrices_are_rejected(pairs):
 def test_witness_whose_field_is_not_a_field_spec_is_rejected():
     with pytest.raises(ValueError, match="^malformed witness: the field must be a FieldSpec, got NoneType$"):
         verify_witness(BracketWitness(None, 2, 1, ()))
+    for call, shown in ((lambda: is_simple(5, 3, 1), "int: 5"),
+                        (lambda: build_witness(None, 3, 1), "NoneType: None"),
+                        (lambda: nontriviality_probe(5, 3, 1), "int: 5")):
+        with pytest.raises(TypeError, match=f"^spec must be a FieldSpec, got {shown}$"):
+            call()
 
 
 def test_trace_obstruction_blocks_witnesses_in_simple_configurations():
