@@ -3,7 +3,8 @@
 Every command writes a single JSON document to stdout:
 {"ok": true, "result": ...} on success, {"ok": false, "reason": ...} on
 failure.  Exit codes: 0 success, 1 domain error, 2 parse error (expression
-syntax, bad flags, or a non-integer LEAVITT_CHAR or config value).
+syntax, bad flags, or an ill-formed LEAVITT_CHAR or config value: a non-integer
+n, d or char, or an unknown mode); a malformed config line or key exits 1.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ def _resolve_config(args: argparse.Namespace) -> SessionConfig:
             value = file_values[key]
             if isinstance(SessionConfig._field_defaults[field], int):
                 value = _int_setting(value, f"{args.config}: {key}")
+            elif value not in _MODES:
+                raise _UsageError(f"{args.config}: {key} must be one of {_MODES}, got {value!r}")
             settings[field] = value
         if (flag := getattr(args, key)) is not None:
             settings[field] = flag

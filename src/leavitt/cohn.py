@@ -20,8 +20,10 @@ value shares.  A left term x_I y_J with J nonempty only scans the right
 terms whose K is empty or starts with the last letter of J, found by one
 lookup in an index of the right factor by first x-letter; a left term with
 J empty meets every right term.  A bracket adds both ab and -ba into the
-same map, so it makes one pass with no intermediate product.  It raises
-TypeError for an operand that is not a CohnElement.
+same map, so it makes one pass with no intermediate product.  Given the
+top letter n, the same loop multiplies normal forms in the Leavitt quotient
+L(n), expanding each junction it meets by `_expand`, the one closed form.
+It raises TypeError for an operand that is not a CohnElement.
 """
 
 from __future__ import annotations
@@ -147,7 +149,26 @@ def _integral(terms: Dict):
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
-def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int) -> None:
+def _expand(xs, ys, c, neg, n: int) -> Dict:
+    """The normal form of c x_xs y_ys in the Leavitt quotient L(n), as a fresh map; neg is -c.
+
+    For x_{A n^r} y_{n^s B}, A not ending and B not starting with n, and m = min(r, s), it is
+    x_{A n^(r-m)} y_{n^(s-m) B} - sum_{t=1..m} sum_{i<n} x_{A n^(r-t) i} y_{i n^(s-t) B},
+    whose terms are junction-free and distinct; the map holds the leading one first.
+    """
+    r, m, most = len(xs), 0, min(len(xs), len(ys))
+    while m < most and xs[-1 - m] == n and ys[m] == n:
+        m += 1
+    out = {(xs[: r - m], ys[m:]): c}
+    letters = [(i,) for i in range(1, n)]
+    for t in range(1, m + 1):
+        left, right = xs[: r - t], ys[t:]
+        for i in letters:
+            out[(left + i, i + right)] = neg
+    return out
+
+
+def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int) -> None:
     """Add sign * ca * cb into acc at the product of every left term x_I y_J
     (integer coefficient ca) and right term x_K y_L (cb) that is nonzero.
 
@@ -156,7 +177,10 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int) -> None:
     their own side.  So a left term with J nonempty reads only the bucket of
     right terms whose K starts with the last letter of J, each bucket also
     holding the terms with K empty.  A single left term scans every right
-    term once, which costs no more than building the buckets.
+    term once, which costs no more than building the buckets.  Given a top
+    letter n and junction-free terms, a product has a junction only when
+    rev(J) = K (both empty included), as a leftover of K ends x_K y_L and
+    one of J starts x_I y_J; only those products are expanded, into acc.
     """
     get = acc.get
     scan = right.items()
@@ -171,6 +195,10 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int) -> None:
         ca *= sign
         if not ys:
             for (ks, ls), cb in scan:
+                if top and not ks and xs[-1:] == ls[:1] == (top,):
+                    for m, v in _expand(xs, ls, ca * cb, -ca * cb, top).items():
+                        acc[m] = get(m, 0) + v
+                    continue
                 m = (xs + ks, ls)
                 acc[m] = get(m, 0) + ca * cb
             continue
@@ -180,6 +208,10 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int) -> None:
             lk = len(ks)
             if lj <= lk:
                 if ks[:lj] != rj:
+                    continue
+                if top and lj == lk and xs[-1:] == ls[:1] == (top,):
+                    for m, v in _expand(xs, ls, ca * cb, -ca * cb, top).items():
+                        acc[m] = get(m, 0) + v
                     continue
                 m = (xs + ks[lj:], ls)
             elif rj[:lk] == ks:
@@ -366,9 +398,10 @@ class _Element:
             out = out * self
         return out
 
-    def _product(self, other: "_Element", commutator: bool) -> Dict:
+    def _product(self, other: "_Element", commutator: bool, top: int) -> Dict:
         """The raw map of ab, or of ab - ba when commutator is set, built from one integer accumulator.
 
+        A top letter n multiplies normal forms in L(n); 0 gives the Cohn product.
         Over Q each distinct output value is one Fraction, shared by every term that has it.
         """
         p = self.spec.characteristic
@@ -380,9 +413,9 @@ class _Element:
             db, b = _integral(b)
             den = da * db
         acc: Dict = {}
-        _accumulate(acc, a, b, 1)
+        _accumulate(acc, a, b, 1, top)
         if commutator:
-            _accumulate(acc, b, a, -1)
+            _accumulate(acc, b, a, -1, top)
         if p == 0:
             value = {v: Fraction(v, den) for v in set(acc.values()) if v}
             return {m: value[v] for m, v in acc.items() if v}
@@ -485,12 +518,12 @@ class CohnElement(_Element):
         if isinstance(other, (Scalar, int)):
             return super().__mul__(other)
         self._check(other)
-        return self._like(self._product(other, False))
+        return self._like(self._product(other, False, 0))
 
     def bracket(self, other: "CohnElement") -> "CohnElement":
         """The commutator ab - ba, summed in one pass over both products."""
         self._check(other)
-        return self._like(self._product(other, True))
+        return self._like(self._product(other, True, 0))
 
 
 def x_word(word: Word, spec: FieldSpec) -> CohnElement:
@@ -606,7 +639,7 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
                 if mono is not None:
                     block = (letters, ()) if kind == "x" else ((), letters)
                     product: Dict = {}
-                    _accumulate(product, {mono: 1}, {block: 1}, 1)
+                    _accumulate(product, {mono: 1}, {block: 1}, 1, 0)
                     mono = next(iter(product), None)
             else:
                 raise ValueError(f"unexpected {kind!r} in element text")

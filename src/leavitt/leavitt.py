@@ -10,19 +10,11 @@ ambiguities and Bergman's Diamond Lemma (Adv. Math. 29, 1978) makes its
 normal form unique; the junction-free monomials are the standard basis of
 the Leavitt algebra L(1, n).
 
-The normal form of one monomial can therefore be written down directly.
-Write it as x_{A n^r} y_{n^s B}, with A not ending in n and B not starting
-with n, and let m = min(r, s).  Rewriting the junction m times gives
-
-    x_{A n^(r-m)} y_{n^(s-m) B}
-        - sum_{t=1..m} sum_{i<n} x_{A n^(r-t) i} y_{i n^(s-t) B},
-
-every term of which is junction-free.  Reducing an element is one pass
-over its terms, linear in the letters of the output.
-
-A LeavittElement holds the junction-free term map itself and shares the
-Cohn element's linear operations; its product reduces the raw Cohn
-product of the two maps.
+The normal form of one monomial is therefore a closed form, `cohn._expand`;
+reducing an element expands each junction monomial, linear in the letters
+of the output.  A LeavittElement holds the junction-free term map itself
+and shares the Cohn element's linear operations; its product is the Cohn
+pair loop told the top letter, which expands each junction as it meets it.
 """
 
 from __future__ import annotations
@@ -30,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar, _check_int
-from .cohn import CohnElement, Word, _absorb, _Element, _mono_text, _order, x_gen, x_word, y_gen
+from .cohn import CohnElement, Word, _absorb, _Element, _expand, _mono_text, _order, x_gen, x_word, y_gen
 
 __all__ = [
     "LeavittElement",
@@ -40,10 +32,6 @@ __all__ = [
     "independence_check",
     "dim_probe",
 ]
-
-
-def _has_junction(xs, ys, n: int) -> bool:
-    return bool(xs) and bool(ys) and xs[-1] == n and ys[0] == n
 
 
 class RewriteStep(NamedTuple):
@@ -62,17 +50,18 @@ class RewriteStep(NamedTuple):
 def _reduce(terms: Dict, spec: FieldSpec, n: int, trace: Optional[List[RewriteStep]]) -> Dict:
     """Bring a raw term map, which it takes over, to its normal form, and return it."""
     p = spec.characteristic
-    # junction-free terms stay where they are; rewriting never yields a junction
-    for left, right in [m for m in terms if _has_junction(*m, n)]:
-        c = terms.pop((left, right))
+    # expansions are junction-free, so each junction term stays in terms until popped
+    for xs, ys in [(xs, ys) for xs, ys in terms if xs and ys and xs[-1] == ys[0] == n]:
+        c = terms.pop((xs, ys))
         neg = p - c if p else -c
-        while _has_junction(left, right, n):
-            left, right = left[:-1], right[1:]
-            if trace is not None:
-                trace.append(RewriteStep(Scalar(spec, neg), Word(left, n), Word(right, n)))
-            for i in range(1, n):
-                _absorb(terms, (left + (i,), (i,) + right), neg, p)
-        _absorb(terms, (left, right), c, p)
+        part = _expand(xs, ys, c, neg, n)
+        if trace is not None:
+            for t in range(1, len(xs) - len(next(iter(part))[0]) + 1):
+                trace.append(RewriteStep(Scalar(spec, neg), Word(xs[:-t], n), Word(ys[t:], n)))
+        if len(part) > len(terms):
+            terms, part = part, terms
+        for m, v in part.items():
+            _absorb(terms, m, v, p)
     return terms
 
 
@@ -92,8 +81,8 @@ class LeavittElement(_Element):
 
     The junction-free monomials are a basis of the quotient, so the linear
     operations, equality and printing are those of the term map, shared with
-    the Cohn algebra.  A product is the Cohn product of the two maps, brought
-    to normal form.  `rep` is a CohnElement over the same map.
+    the Cohn algebra.  A product is the Cohn product of the two maps with
+    each junction expanded as it arises.  `rep` is a CohnElement over the same map.
     """
 
     __slots__ = ()
@@ -102,7 +91,7 @@ class LeavittElement(_Element):
         if not isinstance(rep, CohnElement):
             raise TypeError(f"expected CohnElement, got {type(rep).__name__}")
         for xs, ys in rep._terms:
-            if _has_junction(xs, ys, rep.n):
+            if xs and ys and xs[-1] == ys[0] == rep.n:
                 raise ValueError(
                     f"representative is not in normal form: junction monomial {_mono_text(xs, ys)}"
                 )
@@ -127,11 +116,11 @@ class LeavittElement(_Element):
         if isinstance(other, (Scalar, int)):
             return super().__mul__(other)
         self._check(other)
-        return self._like(_reduce(self._product(other, False), self.spec, self.n, None))
+        return self._like(self._product(other, False, self.n))
 
     def bracket(self, other: "LeavittElement") -> "LeavittElement":
         self._check(other)
-        return self._like(_reduce(self._product(other, True), self.spec, self.n, None))
+        return self._like(self._product(other, True, self.n))
 
     def trace(self) -> Scalar:
         """The trace functional inherited from the Cohn algebra.

@@ -301,6 +301,17 @@ def test_non_integer_config_value_is_a_flag_error(tmp_path, capsys):
     assert "must be an integer" in doc["reason"]
 
 
+def test_unknown_config_mode_is_a_flag_error(tmp_path, monkeypatch, capsys):
+    # as --mode weird is; the reason names the file and the key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "session.cfg").write_text("mode = weird\n")
+    assert main(["nf", "x1", "--config", "session.cfg"]) == 2
+    assert capsys.readouterr().out == (
+        '{"ok":false,"reason":"session.cfg: mode must be one of '
+        "('cohn', 'leavitt', 'matrix'), got 'weird'\"}\n"
+    )
+
+
 def test_grid_row_count_is_bounded(capsys):
     code, doc = run(capsys, "grid", "--chars", "0", "--n-range", "2:100000",
                     "--d-range", "1:100000")

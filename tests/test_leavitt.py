@@ -4,18 +4,21 @@ from fractions import Fraction
 
 import pytest
 
+import leavitt.cohn as cohn_module
 import leavitt.leavitt as leavitt_module
 from leavitt import (
     CohnElement,
     FieldSpec,
     LeavittElement,
     Monomial,
+    RewriteStep,
     Word,
     dim_probe,
     ideal_generator,
     independence_check,
     normal_form,
     normal_form_with_trace,
+    parse_element,
     x_word,
     y_word,
 )
@@ -121,6 +124,17 @@ def chain_element(n, spec, rng):
     return CohnElement(spec, n, terms)
 
 
+def test_rewrite_trace_lists_each_step_in_term_order():
+    c = parse_element("2*x[1,3,3]*y[3,3,2] + x[3]*y[3]", 3, Q)
+    _, steps = normal_form_with_trace(c)
+    minus_two, minus_one = Q.from_int(-2), Q.from_int(-1)
+    assert steps == [
+        RewriteStep(minus_two, Word((1, 3), 3), Word((3, 2), 3)),
+        RewriteStep(minus_two, Word((1,), 3), Word((2,), 3)),
+        RewriteStep(minus_one, Word((), 3), Word((), 3)),
+    ]
+
+
 def test_long_chains_and_cancellations_match_the_worklist():
     rng = random.Random(23)
     for n in (2, 3, 4):
@@ -182,9 +196,35 @@ def test_mixing_leavitt_and_cohn_operands_is_a_type_error():
 
 
 def test_product_of_generators_reduces():
-    x2 = LeavittElement.x_gen(2, 2, Q)
-    y2 = LeavittElement.y_gen(2, 2, Q)
-    assert (x2 * y2).rep == CohnElement.one(2, Q) - mono_elem((1,), (1,))
+    # x_n y_n = 1 - sum_{i<n} x_i y_i: a product with J and K both empty
+    for n in (2, 3, 4):
+        for spec in (Q, F2, F7):
+            xn, yn = LeavittElement.x_gen(n, n, spec), LeavittElement.y_gen(n, n, spec)
+            want = CohnElement.one(n, spec)
+            for i in range(1, n):
+                want = want - mono_elem((i,), (i,), spec, n)
+            assert (xn * yn).rep == want
+
+
+def test_products_expand_a_full_cancellation_in_closed_form(monkeypatch):
+    # x_{133} y_{332} at n = 3, reached with J = K = () and with rev(J) = K = (1, 2)
+    want = parse_element(
+        "x[1]*y[2] - x[1,1]*y[1,2] - x[1,2]*y[2,2] - x[1,3,1]*y[1,3,2] - x[1,3,2]*y[2,3,2]", 3, Q
+    )
+    calls = []
+    expand = cohn_module._expand
+    monkeypatch.setattr(cohn_module, "_expand", lambda *args: calls.append(args[:2]) or expand(*args))
+    pairs = (
+        (((1, 3, 3), ()), ((), (3, 3, 2))),
+        (((1, 3, 3), (2, 1)), ((1, 2), (3, 3, 2))),
+    )
+    for (xs, ys), (ks, ls) in pairs:
+        a = LeavittElement(mono_elem(xs, ys, n=3))
+        b = LeavittElement(mono_elem(ks, ls, n=3))
+        calls.clear()
+        assert (a * b).rep == want
+        # the pair loop expands the junction itself, once
+        assert calls == [((1, 3, 3), (3, 3, 2))]
 
 
 def test_bracket_sum_of_generator_pairs():

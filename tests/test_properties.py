@@ -7,7 +7,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from leavitt import CohnElement, FieldSpec, Monomial, Scalar, Word, normal_form
+from leavitt import CohnElement, FieldSpec, LeavittElement, Monomial, Scalar, Word, normal_form
 
 from helpers import worklist_normal_form
 
@@ -40,3 +40,42 @@ def chain_elements(draw):
 @given(chain_elements())
 def test_closed_form_normal_form_agrees_with_the_worklist(c):
     assert normal_form(c) == worklist_normal_form(c)
+
+
+@st.composite
+def fusing_pairs(draw):
+    """Two junction-free Leavitt elements whose products cancel fully and
+    leave long junctions: terms x_{A n^r} y_W meet terms x_{rev W} y_{n^s B},
+    with W empty or not starting with n, so that rev(J) = K holds for many
+    pairs, with J and K both empty among them."""
+    n = draw(st.integers(2, 4))
+    spec = FieldSpec(draw(st.sampled_from((0, 2, 2**61 - 1))))
+    p = spec.characteristic
+    if p:
+        coeff = st.integers(1, p - 1)
+    else:
+        coeff = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 4))
+    short = st.lists(st.integers(1, n), max_size=2).map(tuple)
+    middles = draw(st.lists(st.one_of(st.just(()), short.filter(lambda w: w[:1] != (n,))),
+                            min_size=1, max_size=3))
+
+    def element():
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            w, run = draw(st.sampled_from(middles)), (n,) * draw(st.integers(0, 12))
+            if draw(st.booleans()):
+                xs, ys = draw(short) + run, w
+            else:
+                xs, ys = w[::-1], run + draw(short)
+            terms[Monomial(Word(xs, n), Word(ys, n))] = Scalar(spec, draw(coeff))
+        return LeavittElement(CohnElement(spec, n, terms))
+
+    return element(), element()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(fusing_pairs())
+def test_fused_product_agrees_with_the_worklist_normal_form(pair):
+    a, b = pair
+    assert a * b == worklist_normal_form(a.rep * b.rep)
+    assert a.bracket(b) == worklist_normal_form(a.rep.bracket(b.rep))
