@@ -25,6 +25,10 @@ ENV_CHAR = "LEAVITT_CHAR"
 # its first row, as the rows are only printed once all are done.
 MAX_GRID_ROWS = 10_000
 
+# The most cells one dense witness document holds; a larger witness is
+# refused before it is built, as its document grows like d^3.
+MAX_WITNESS_CELLS = 2_000_000
+
 # Each flag and config-file key, and the SessionConfig field it sets.
 _SETTINGS = {"n": "n", "d": "d", "char": "characteristic", "mode": "mode"}
 
@@ -134,10 +138,15 @@ def _cmd_simple(args) -> object:
 
 
 def _cmd_witness(args) -> object:
-    from .simplicity import build_witness, verify_witness, witness_from_doc, witness_to_doc
+    from .simplicity import build_witness, is_simple, verify_witness, witness_from_doc, witness_to_doc
 
     cfg = _resolve_config(args)
-    witness = build_witness(cfg.spec, cfg.n, cfg.d)
+    n, d = cfg.n, cfg.d
+    # two d x d arrays per pair: n*d pairs, or d-1 when the characteristic divides n-1
+    cells = 2 * d * d * (d - 1 if cfg.spec.divides(n - 1) else n * d)
+    if cells > MAX_WITNESS_CELLS and not is_simple(cfg.spec, n, d).simple:
+        raise ValueError(f"witness document of {cells} cells exceeds the limit of {MAX_WITNESS_CELLS} cells")
+    witness = build_witness(cfg.spec, n, d)
     doc = witness_to_doc(witness)
     if args.verify:
         doc["verified"] = verify_witness(witness_from_doc(doc))

@@ -24,6 +24,10 @@ same map, so it makes one pass with no intermediate product.  Given the
 top letter n, the same loop multiplies normal forms in the Leavitt quotient
 L(n), expanding each junction it meets by `_expand`, the one closed form.
 It raises TypeError for an operand that is not a CohnElement.
+
+Printing formats each coefficient object once per call (keyed by id, as
+equal values often share one object) and writes each distinct x-word and
+y-word once, from a table of letter texts.
 """
 
 from __future__ import annotations
@@ -221,15 +225,20 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int) -> None
             acc[m] = get(m, 0) + ca * cb
 
 
+# The texts of the letters below 256; a word with a larger letter prints through str.
+_LETTER_TEXT = tuple(str(i) for i in range(256))
+
+
+def _word_text(tag: str, word) -> str:
+    """A word's block text, such as x[1,2]."""
+    try:
+        return tag + "[" + ",".join(map(_LETTER_TEXT.__getitem__, word)) + "]"
+    except IndexError:
+        return tag + "[" + ",".join(map(str, word)) + "]"
+
+
 def _mono_text(xs, ys) -> str:
-    if not xs and not ys:
-        return "1"
-    parts = []
-    if xs:
-        parts.append("x[" + ",".join(map(str, xs)) + "]")
-    if ys:
-        parts.append("y[" + ",".join(map(str, ys)) + "]")
-    return "*".join(parts)
+    return "*".join([_word_text(tag, w) for tag, w in (("x", xs), ("y", ys)) if w]) or "1"
 
 
 class Monomial:
@@ -447,24 +456,24 @@ class _Element:
         return hash((self.spec, self.n, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
+        # the map keeps every coefficient alive, so no id is reused in one call
+        terms = self._terms
+        if not terms:
             return "0"
         rational = self.spec.characteristic == 0
-        chunks = []
-        for m in sorted(self._terms, key=_order):
-            c = self._terms[m]
-            negative = rational and c < 0
-            mag = -c if negative else c
-            if not m[0] and not m[1]:
-                body = str(mag)
-            elif mag == 1:
-                body = _mono_text(*m)
-            else:
-                body = f"{mag}*{_mono_text(*m)}"
-            if not chunks:
-                chunks.append(f"-{body}" if negative else body)
-            else:
-                chunks.append(f" - {body}" if negative else f" + {body}")
+        forms, xtext, ytext, chunks = {}, {}, {}, []
+        for (xs, ys), c in sorted(terms.items(), key=lambda item: _order(item[0])):
+            form = forms.get(id(c))
+            if form is None:
+                negative = rational and c < 0
+                mag = str(-c if negative else c)
+                form = forms[id(c)] = (" - " if negative else " + ", mag, "" if mag == "1" else mag + "*")
+            sep, mag, prefix = form
+            x = xtext.get(xs) or xtext.setdefault(xs, _word_text("x", xs)) if xs else ""
+            y = ytext.get(ys) or ytext.setdefault(ys, _word_text("y", ys)) if ys else ""
+            mono = x + "*" + y if x and y else x or y
+            chunks += (sep, prefix + mono if mono else mag)
+        chunks[0] = "-" if chunks[0] == " - " else ""
         return "".join(chunks)
 
     def __repr__(self) -> str:

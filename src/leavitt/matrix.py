@@ -8,6 +8,7 @@ matrix code serves the plain algebra and its quotient.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
 from typing import Dict, List, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar, _check_int, _check_shape
@@ -187,10 +188,19 @@ class MatrixElement:
 
     def to_strings(self) -> List[List[str]]:
         """The dense array of entry strings, "0" at every position not stored."""
-        zero = str(self._zero)
-        rows = [[zero] * self.d for _ in range(self.d)]
+        return self._strings({})
+
+    def _strings(self, texts: Dict) -> List[List[str]]:
+        """to_strings, printing each entry object once: texts maps id(entry) to its text.
+
+        The caller keeps every entry it maps alive, so that no id is reused.
+        """
+        rows = [["0"] * self.d for _ in range(self.d)]
         for (i, j), e in self.entries.items():
-            rows[i][j] = str(e)
+            text = texts.get(id(e))
+            if text is None:
+                text = texts[id(e)] = str(e)
+            rows[i][j] = text
         return rows
 
     def __str__(self) -> str:
@@ -231,26 +241,34 @@ _NOT_ROWS = "a matrix must be a list of lists of element strings"
 def matrix_from_strings(rows: Sequence[Sequence[str]], n: int, spec: FieldSpec) -> MatrixElement:
     """Build a Leavitt matrix from a square array (list of lists) of element strings.
 
-    Only texts other than "0" are parsed, and each is brought to normal form.
+    Each distinct text other than "0" is parsed once and brought to normal form.
     """
-    # The whole document is checked before any entry is parsed: the types of
-    # its parts, then its shape, in one plain pass each.
-    if not isinstance(rows, (list, tuple)):
+    return _from_strings(rows, n, spec, {})
+
+
+def _from_strings(rows, n: int, spec: FieldSpec, parsed: Dict) -> MatrixElement:
+    """matrix_from_strings, reading each text through parsed, a text -> entry map
+    that a whole document of one n and field shares."""
+    # The whole array is checked before any entry is parsed: the types of
+    # its rows, then of its cells, each in one C-level pass, then its shape.
+    if not (
+        isinstance(rows, (list, tuple))
+        and all(map(isinstance, rows, repeat((list, tuple))))
+        and all(map(isinstance, chain.from_iterable(rows), repeat(str)))
+    ):
         raise ValueError(_NOT_ROWS)
-    for row in rows:
-        if not isinstance(row, (list, tuple)):
-            raise ValueError(_NOT_ROWS)
-        for text in row:
-            if not isinstance(text, str):
-                raise ValueError(_NOT_ROWS)
     d = _square_size(rows)
     zero = LeavittElement.zero(n, spec)
     entries = {}
     for i, row in enumerate(rows):
+        if row.count("0") == d:
+            continue
         for j, text in enumerate(row):
             if text == "0":
                 continue
-            e = normal_form(parse_element(text, n, spec))
+            e = parsed.get(text)
+            if e is None:
+                e = parsed[text] = normal_form(parse_element(text, n, spec))
             if not e.is_zero():
                 entries[(i, j)] = e
     return MatrixElement._from_map(zero, d, entries)

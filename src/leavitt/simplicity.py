@@ -95,11 +95,11 @@ def build_witness(spec: FieldSpec, n: int, d: int) -> BracketWitness:
     pairs: List[Tuple[MatrixElement, MatrixElement]] = []
     if not spec.divides(n - 1):
         inv = spec.from_int(n - 1).inv()
+        # elements are immutable, so every slot shares the same 2n entries
+        ys = [LeavittElement.y_gen(i, n, spec).scale(inv) for i in range(1, n + 1)]
+        xs = [LeavittElement.x_gen(i, n, spec) for i in range(1, n + 1)]
         for j in range(1, d + 1):
-            for i in range(1, n + 1):
-                left = unit(LeavittElement.y_gen(i, n, spec).scale(inv), j, j, d)
-                right = unit(LeavittElement.x_gen(i, n, spec), j, j, d)
-                pairs.append((left, right))
+            pairs.extend((unit(y, j, j, d), unit(x, j, j, d)) for y, x in zip(ys, xs))
     else:
         # characteristic divides both n-1 and d; d >= 2 since char >= 2
         assert d >= 2
@@ -153,12 +153,13 @@ def nontriviality_probe(spec: FieldSpec, n: int, d: int) -> bool:
 
 def witness_to_doc(witness: BracketWitness) -> Dict:
     """Serialize a witness as a plain JSON-compatible document."""
+    texts: Dict = {}  # the pairs share their entries, and each is printed once
     return {
         "characteristic": witness.spec.characteristic,
         "n": witness.n,
         "d": witness.d,
         "pairs": [
-            [left.to_strings(), right.to_strings()] for left, right in witness.pairs
+            [left._strings(texts), right._strings(texts)] for left, right in witness.pairs
         ],
     }
 
@@ -168,7 +169,7 @@ def witness_from_doc(doc: Dict) -> BracketWitness:
 
     A document of the wrong shape or field types raises ValueError.
     """
-    from .matrix import matrix_from_strings
+    from .matrix import _from_strings
 
     if not isinstance(doc, dict):
         raise ValueError(f"malformed witness document: expected a dict, got {type(doc).__name__}")
@@ -185,9 +186,10 @@ def witness_from_doc(doc: Dict) -> BracketWitness:
     n, d = doc["n"], doc["d"]
     _check_shape(n, d)
     pairs = []
+    parsed: Dict = {}  # each distinct entry text is parsed once per document
     for left_rows, right_rows in doc_pairs:
-        left = matrix_from_strings(left_rows, n, spec)
-        right = matrix_from_strings(right_rows, n, spec)
+        left = _from_strings(left_rows, n, spec, parsed)
+        right = _from_strings(right_rows, n, spec, parsed)
         if left.d != d or right.d != d:
             raise ValueError("malformed witness document: wrong matrix dimension")
         pairs.append((left, right))

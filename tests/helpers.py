@@ -1,5 +1,6 @@
 """Shared test utilities: random generators, the brute-force product and
-normal-form oracles, and the isomorphism L(n) -> M_n(L(n))."""
+normal-form oracles, a reference printer, and the isomorphism
+L(n) -> M_n(L(n))."""
 
 from __future__ import annotations
 
@@ -116,6 +117,37 @@ def oracle_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
     assert word == [("x", i) for i in xs] + [("y", i) for i in ys]
     n = a.xs.n
     return Monomial(Word(xs, n), Word(ys, n))
+
+
+def reference_str(a) -> str:
+    """The canonical text of a Cohn or Leavitt element, by the plain loop.
+
+    Every term's coefficient and words are formatted afresh, in the order
+    degree, then length-lex x-word, then length-lex y-word; a coefficient 1
+    is left out before a monomial, and over Q a negative one becomes " - ".
+    Independent of the memoized printer of the package.
+    """
+    terms = a._terms
+    if not terms:
+        return "0"
+    rational = a.spec.characteristic == 0
+    chunks = []
+    for xs, ys in sorted(terms, key=lambda m: (len(m[0]) - len(m[1]), len(m[0]), m[0], len(m[1]), m[1])):
+        c = terms[(xs, ys)]
+        negative = rational and c < 0
+        mag = -c if negative else c
+        blocks = [f"{tag}[{','.join(str(i) for i in w)}]" for tag, w in (("x", xs), ("y", ys)) if w]
+        if not blocks:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(blocks)
+        else:
+            body = f"{mag}*{'*'.join(blocks)}"
+        if not chunks:
+            chunks.append(f"-{body}" if negative else body)
+        else:
+            chunks.append(f" - {body}" if negative else f" + {body}")
+    return "".join(chunks)
 
 
 def phi(a: LeavittElement) -> MatrixElement:

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from leavitt import SessionConfig
-from leavitt.cli import ENV_CHAR, MAX_GRID_ROWS, _resolve_config, build_arg_parser, main
+from leavitt.cli import ENV_CHAR, MAX_GRID_ROWS, MAX_WITNESS_CELLS, _resolve_config, build_arg_parser, main
 
 
 def run(capsys, *argv):
@@ -319,6 +320,28 @@ def test_grid_row_count_is_bounded(capsys):
     assert doc["ok"] is False
     assert str(99999 * 100000) in doc["reason"] and str(MAX_GRID_ROWS) in doc["reason"]
     assert 6 * 7 * 6 < MAX_GRID_ROWS  # the acceptance grid
+
+
+@pytest.mark.parametrize(
+    "argv, cells",
+    [(["--n", "3", "--d", "256"], 2 * 3 * 256**3), (["--n", "3", "--char", "2", "--d", "128"], 2 * 127 * 128**2)],
+    ids=["n-d-pairs", "d-minus-1-pairs"],
+)
+def test_witness_document_size_is_bounded_before_the_witness_is_built(capsys, argv, cells):
+    start = time.perf_counter()
+    code = main(["witness", *argv])
+    elapsed = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("\n") == 1 and elapsed < 0.1
+    reason = f"witness document of {cells} cells exceeds the limit of {MAX_WITNESS_CELLS} cells"
+    assert json.loads(out) == {"ok": False, "reason": reason}
+
+
+def test_witness_bound_leaves_the_tested_witnesses_and_simple_verdicts_alone(capsys):
+    assert 2 * 8 * 16**3 < MAX_WITNESS_CELLS  # the largest n and d the tests and the benchmark use
+    code, doc = run(capsys, "witness", "--n", "3", "--char", "2", "--d", "127")  # simple, above the limit
+    assert code == 1
+    assert doc["reason"] == "no witness exists: the Lie algebra is simple for F2, n=3, d=127"
 
 
 @pytest.mark.parametrize("flag", ["--n-range", "--d-range"])

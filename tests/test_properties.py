@@ -7,9 +7,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from leavitt import CohnElement, FieldSpec, LeavittElement, Monomial, Scalar, Word, normal_form
+from leavitt import CohnElement, FieldSpec, LeavittElement, Monomial, Scalar, Word, normal_form, parse_element
 
-from helpers import worklist_normal_form
+from helpers import reference_str, worklist_normal_form
 
 
 @st.composite
@@ -79,3 +79,34 @@ def test_fused_product_agrees_with_the_worklist_normal_form(pair):
     a, b = pair
     assert a * b == worklist_normal_form(a.rep * b.rep)
     assert a.bracket(b) == worklist_normal_form(a.rep.bracket(b.rep))
+
+
+@st.composite
+def printable_elements(draw):
+    """Raw Cohn term maps over Q, F2, F7 and F_(2^61-1), with letters of one
+    to three digits (n up to 300) and a constant term among the monomials.
+    Over Q the values include +-1 and negative fractions.  The terms either
+    share one value object per value, as products build them, or hold equal
+    values in distinct objects."""
+    p = draw(st.sampled_from((0, 2, 7, 2**61 - 1)))
+    n = draw(st.sampled_from((2, 3, 10, 300)))
+    if p:
+        value = st.one_of(st.integers(1, p - 1), st.sampled_from((1, p - 1)))
+        copy = lambda v: int(str(v))  # a new object, for a large int
+    else:
+        value = st.builds(Fraction, st.sampled_from((-7, -3, -1, 1, 2, 5)), st.sampled_from((1, 1, 2, 9)))
+        copy = lambda v: Fraction(v.numerator, v.denominator)
+    pool = draw(st.lists(value, min_size=1, max_size=3))
+    word = st.lists(st.integers(1, n), max_size=3).map(tuple)
+    slots = draw(st.dictionaries(st.tuples(word, word), st.integers(0, len(pool) - 1), max_size=6))
+    shared = draw(st.booleans())
+    terms = {m: pool[k] if shared else copy(pool[k]) for m, k in slots.items()}
+    return CohnElement._raw(FieldSpec(p), n, terms)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(printable_elements())
+def test_printing_agrees_with_the_reference_printer_and_parses_back(a):
+    text = str(a)
+    assert text == reference_str(a)
+    assert parse_element(text, a.n, a.spec) == a

@@ -19,7 +19,12 @@ from leavitt import (
 )
 
 from helpers import random_cohn
+from leavitt import matrix
+from leavitt.cohn import _Element, parse_element
 from leavitt.leavitt import normal_form
+from leavitt.matrix import unit
+
+_element_str = _Element.__str__
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -136,6 +141,91 @@ def test_witness_document_round_trip():
         rebuilt = witness_from_doc(json.loads(json.dumps(doc)))
         assert verify_witness(rebuilt)
         assert witness_to_doc(rebuilt) == doc
+
+
+# The acceptance grid and the dimension sweep at n = 3 that the benchmark runs.
+_GRID = [(FieldSpec(p), n, d) for p in (0, 2, 3, 5, 7, 11) for n in range(2, 9) for d in range(1, 7)]
+_SWEEP = [(Q, 3, d) for d in range(1, 17)] + [(F2, 3, d) for d in range(2, 17, 2)]
+
+
+def test_witness_document_is_each_matrix_printed_alone():
+    for spec, n, d in _GRID + _SWEEP:
+        if is_simple(spec, n, d).simple:
+            continue
+        w = build_witness(spec, n, d)
+        doc = witness_to_doc(w)
+        assert doc["pairs"] == [[left.to_strings(), right.to_strings()] for left, right in w.pairs]
+        assert witness_from_doc(json.loads(json.dumps(doc))) == w
+
+
+def test_witness_entries_are_built_printed_and_parsed_once(monkeypatch):
+    w = build_witness(Q, 3, 4)
+    shared = {id(e) for pair in w.pairs for m in pair for e in m.entries.values()}
+    assert len(shared) == 6  # y_i / 2 and x_i, for i = 1..3, on every diagonal slot
+    printed = []
+    monkeypatch.setattr(LeavittElement, "__str__", lambda e: printed.append(e) or _element_str(e))
+    doc = witness_to_doc(w)
+    assert len(printed) == 6
+    parsed = []
+    monkeypatch.setattr(matrix, "parse_element", lambda *args: parsed.append(args[0]) or parse_element(*args))
+    assert witness_from_doc(doc) == w
+    assert sorted(parsed) == sorted(set(parsed)) and len(parsed) == 6
+
+
+def test_identity_matrix_prints_its_diagonal_once(monkeypatch):
+    one = LeavittElement.one(2, Q)
+    printed = []
+    monkeypatch.setattr(LeavittElement, "__str__", lambda e: printed.append(e) or _element_str(e))
+    assert identity_matrix(one, 3).to_strings() == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+    assert printed == [one]
+
+
+def _two_pair_doc():
+    doc = witness_to_doc(build_witness(Q, 2, 2))
+    return json.loads(json.dumps(doc))
+
+
+def test_a_bad_cell_in_a_zero_row_of_a_later_matrix_is_refused():
+    doc = _two_pair_doc()
+    rows = doc["pairs"][3][1]  # the last matrix, x_2 at (2, 2)
+    assert rows[0] == ["0", "0"]
+    rows[0] = ["0", 0]
+    with pytest.raises(ValueError, match="^a matrix must be a list of lists of element strings$"):
+        witness_from_doc(doc)
+
+
+def test_a_bad_text_repeated_across_matrices_fails_at_its_first_cell():
+    doc = _two_pair_doc()
+    for pair in doc["pairs"]:
+        for rows in pair:
+            rows[0][0] = "x[1]*"
+    with pytest.raises(ValueError) as expected:
+        parse_element("x[1]*", 2, Q)
+    cells = []
+    real = matrix.parse_element
+
+    def spy(text, n, spec):
+        cells.append(text)
+        return real(text, n, spec)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "parse_element", spy)
+        with pytest.raises(ValueError) as got:
+            witness_from_doc(doc)
+    assert str(got.value) == str(expected.value) == "dangling operator in element text"
+    assert cells == ["x[1]*"]
+
+
+def test_cells_of_a_str_subclass_are_accepted():
+    class Text(str):
+        pass
+
+    doc = _two_pair_doc()
+    doc["pairs"] = [[[[Text(t) for t in row] for row in rows] for rows in pair] for pair in doc["pairs"]]
+    assert verify_witness(witness_from_doc(doc))
+    assert matrix.matrix_from_strings([[Text("x[1]"), Text("0")], [Text("0"), Text("0")]], 2, Q) == unit(
+        LeavittElement.x_gen(1, 2, Q), 1, 1, 2
+    )
 
 
 _GOOD_DOC = witness_to_doc(build_witness(Q, 2, 1))
