@@ -138,15 +138,13 @@ def _cmd_simple(args) -> object:
 
 
 def _cmd_witness(args) -> object:
-    from .simplicity import build_witness, is_simple, verify_witness, witness_from_doc, witness_to_doc
+    from .simplicity import _dense_cells, build_witness, verify_witness, witness_from_doc, witness_to_doc
 
     cfg = _resolve_config(args)
-    n, d = cfg.n, cfg.d
-    # two d x d arrays per pair: n*d pairs, or d-1 when the characteristic divides n-1
-    cells = 2 * d * d * (d - 1 if cfg.spec.divides(n - 1) else n * d)
-    if cells > MAX_WITNESS_CELLS and not is_simple(cfg.spec, n, d).simple:
+    cells = _dense_cells(cfg.spec, cfg.n, cfg.d)
+    if cells > MAX_WITNESS_CELLS:
         raise ValueError(f"witness document of {cells} cells exceeds the limit of {MAX_WITNESS_CELLS} cells")
-    witness = build_witness(cfg.spec, n, d)
+    witness = build_witness(cfg.spec, cfg.n, cfg.d)
     doc = witness_to_doc(witness)
     if args.verify:
         doc["verified"] = verify_witness(witness_from_doc(doc))

@@ -26,8 +26,8 @@ L(n), expanding each junction it meets by `_expand`, the one closed form.
 It raises TypeError for an operand that is not a CohnElement.
 
 Printing formats each coefficient object once per call (keyed by id, as
-equal values often share one object) and writes each distinct x-word and
-y-word once, from a table of letter texts.
+equal values often share one object), writes each distinct x-word and
+y-word once, and makes each letter's text once.
 """
 
 from __future__ import annotations
@@ -225,20 +225,22 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int) -> None
             acc[m] = get(m, 0) + ca * cb
 
 
-# The texts of the letters below 256; a word with a larger letter prints through str.
-_LETTER_TEXT = tuple(str(i) for i in range(256))
+class _LetterTexts(dict):
+    """Letter -> text, each text made on first use; one map serves one printing call."""
+
+    def __missing__(self, letter: int) -> str:
+        text = self[letter] = str(letter)
+        return text
 
 
-def _word_text(tag: str, word) -> str:
+def _word_text(tag: str, word, letters: _LetterTexts) -> str:
     """A word's block text, such as x[1,2]."""
-    try:
-        return tag + "[" + ",".join(map(_LETTER_TEXT.__getitem__, word)) + "]"
-    except IndexError:
-        return tag + "[" + ",".join(map(str, word)) + "]"
+    return tag + "[" + ",".join(map(letters.__getitem__, word)) + "]"
 
 
 def _mono_text(xs, ys) -> str:
-    return "*".join([_word_text(tag, w) for tag, w in (("x", xs), ("y", ys)) if w]) or "1"
+    letters = _LetterTexts()
+    return "*".join([_word_text(tag, w, letters) for tag, w in (("x", xs), ("y", ys)) if w]) or "1"
 
 
 class Monomial:
@@ -461,7 +463,7 @@ class _Element:
         if not terms:
             return "0"
         rational = self.spec.characteristic == 0
-        forms, xtext, ytext, chunks = {}, {}, {}, []
+        forms, xtext, ytext, letters, chunks = {}, {}, {}, _LetterTexts(), []
         for (xs, ys), c in sorted(terms.items(), key=lambda item: _order(item[0])):
             form = forms.get(id(c))
             if form is None:
@@ -469,8 +471,8 @@ class _Element:
                 mag = str(-c if negative else c)
                 form = forms[id(c)] = (" - " if negative else " + ", mag, "" if mag == "1" else mag + "*")
             sep, mag, prefix = form
-            x = xtext.get(xs) or xtext.setdefault(xs, _word_text("x", xs)) if xs else ""
-            y = ytext.get(ys) or ytext.setdefault(ys, _word_text("y", ys)) if ys else ""
+            x = xtext.get(xs) or xtext.setdefault(xs, _word_text("x", xs, letters)) if xs else ""
+            y = ytext.get(ys) or ytext.setdefault(ys, _word_text("y", ys, letters)) if ys else ""
             mono = x + "*" + y if x and y else x or y
             chunks += (sep, prefix + mono if mono else mag)
         chunks[0] = "-" if chunks[0] == " - " else ""

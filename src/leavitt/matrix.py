@@ -191,16 +191,11 @@ class MatrixElement:
         return self._strings({})
 
     def _strings(self, texts: Dict) -> List[List[str]]:
-        """to_strings, printing each entry object once: texts maps id(entry) to its text.
-
-        The caller keeps every entry it maps alive, so that no id is reused.
-        """
+        """to_strings, printing each entry object once through texts, an id(entry) -> text
+        map whose entries the caller keeps alive, so that no id is reused."""
         rows = [["0"] * self.d for _ in range(self.d)]
         for (i, j), e in self.entries.items():
-            text = texts.get(id(e))
-            if text is None:
-                text = texts[id(e)] = str(e)
-            rows[i][j] = text
+            rows[i][j] = texts.get(id(e)) or texts.setdefault(id(e), str(e))
         return rows
 
     def __str__(self) -> str:
@@ -247,8 +242,7 @@ def matrix_from_strings(rows: Sequence[Sequence[str]], n: int, spec: FieldSpec) 
 
 
 def _from_strings(rows, n: int, spec: FieldSpec, parsed: Dict) -> MatrixElement:
-    """matrix_from_strings, reading each text through parsed, a text -> entry map
-    that a whole document of one n and field shares."""
+    """matrix_from_strings, reading texts through parsed, one document's text -> entry map."""
     # The whole array is checked before any entry is parsed: the types of
     # its rows, then of its cells, each in one C-level pass, then its shape.
     if not (
@@ -261,8 +255,6 @@ def _from_strings(rows, n: int, spec: FieldSpec, parsed: Dict) -> MatrixElement:
     zero = LeavittElement.zero(n, spec)
     entries = {}
     for i, row in enumerate(rows):
-        if row.count("0") == d:
-            continue
         for j, text in enumerate(row):
             if text == "0":
                 continue

@@ -74,6 +74,14 @@ def is_simple(spec: FieldSpec, n: int, d: int) -> SimplicityVerdict:
     return SimplicityVerdict(divides_n1 and not divides_d, reason, spec, n, d)
 
 
+def _dense_cells(spec: FieldSpec, n: int, d: int) -> int:
+    """The cells of build_witness's dense document, or 0 when no witness exists:
+    two d x d arrays per pair, n*d pairs, or d-1 when the characteristic divides n-1."""
+    if is_simple(spec, n, d).simple:
+        return 0
+    return 2 * d * d * (d - 1 if spec.divides(n - 1) else n * d)
+
+
 def build_witness(spec: FieldSpec, n: int, d: int) -> BracketWitness:
     """Construct matrix pairs whose bracket-sum is exactly the identity.
 
