@@ -4,14 +4,20 @@ The algebra is generated by x_1..x_n, y_1..y_n subject to y_i x_j = delta_ij.
 The products x_I y_J, indexed by pairs of words, form a free basis, so an
 element is stored as a sparse mapping from monomials to nonzero scalars.
 
-Internally that mapping is a plain dict {(xs, ys): value}: xs and ys are the
-letter tuples of I and J, and value is what `Scalar.value` would hold (a
-reduced `Fraction` over Q, an int in [1, p) over F_p), never zero.  The field
-and the alphabet size are stored once per element.  Public constructors check
-their input; ring operations build results through the trusted `_raw`.  What
-does not depend on the product (sums, scaling, powers, the trace functional,
+Internally that mapping is a plain dict {(X, Y): value}: X and Y are the
+word codes of I and J, and value is what `Scalar.value` would hold (a
+reduced `Fraction` over Q, an int in [1, p) over F_p), never zero.  A word
+code is an int with one field of k hex digits per letter, k the number of
+hex digits of n, and the first letter in the most significant field; the
+empty word is 0.  Letters are never 0, so a word's length is its bit
+length over 4k, rounded up, concatenation is a shift and an or, and codes
+order words length-lex.  The field and the alphabet size are stored once
+per element.  Public constructors check their input and encode its words;
+ring operations build results through the trusted `_raw`.  What does not
+depend on the product (sums, scaling, powers, the trace functional,
 equality, printing) lives in `_Element`, which CohnElement shares with the
-elements of the Leavitt quotient.
+elements of the Leavitt quotient.  Words leave the map as letter tuples
+through the `terms` view.
 
 A product sums the pair products into one integer map (over Q each factor is
 first scaled to integer numerators over one denominator).  Over Q it then
@@ -26,8 +32,9 @@ L(n), expanding each junction it meets by `_expand`, the one closed form.
 It raises TypeError for an operand that is not a CohnElement.
 
 Printing formats each coefficient object once per call (keyed by id, as
-equal values often share one object), writes each distinct x-word and
-y-word once, and makes each letter's text once.
+equal values often share one object) and writes each distinct x-word and
+y-word once: an x-word's text grows from its prefix's and a y-word's from
+its suffix's, as products build the words.
 """
 
 from __future__ import annotations
@@ -72,6 +79,54 @@ def _checked_letters(letters, n: int) -> Tuple[int, ...]:
         if not 1 <= i <= n:
             raise ValueError(f"letter {i} outside alphabet [1, {n}]")
     return letters
+
+
+def _field_bits(n: int) -> int:
+    """Bits per letter of a word code over {1..n}: four per hex digit of n."""
+    return -(-n.bit_length() // 4) * 4
+
+
+def _code(letters, b: int) -> int:
+    """The code of a word, b bits per letter; the letters are already checked."""
+    code = 0
+    for i in letters:
+        code = code << b | i
+    return code
+
+
+def _letters(code: int, n: int) -> Tuple[int, ...]:
+    """The letters of a word code over {1..n}."""
+    b = _field_bits(n)
+    low, letters = (1 << b) - 1, []
+    while code:
+        letters.append(code & low)
+        code >>= b
+    return tuple(letters[::-1])
+
+
+def _rev(code: int, b: int) -> int:
+    """The code of the reversed word."""
+    low, out = (1 << b) - 1, 0
+    while code:
+        out = out << b | code & low
+        code >>= b
+    return out
+
+
+def _degree(b: int):
+    """Degree of a raw monomial (X, Y), b bits per letter: x-letters count +1, y-letters -1."""
+    # -(-bits // b) is the letter count, so this is len(X) - len(Y)
+    return lambda m: -m[1].bit_length() // b - -m[0].bit_length() // b
+
+
+def _order(b: int):
+    """Print order of raw terms ((X, Y), c), b bits per letter: degree, then length-lex x, then y.
+
+    A code with more letters is the larger, and codes of one length
+    compare as their words do, so the codes themselves order length-lex.
+    The degree is `_degree`'s, inlined, as printing sorts every term.
+    """
+    return lambda term: (-term[0][1].bit_length() // b - -term[0][0].bit_length() // b, term[0])
 
 
 class Word:
@@ -125,12 +180,6 @@ class Word:
         return "[" + ",".join(str(i) for i in self.letters) + "]"
 
 
-def _order(key):
-    """Print order of a raw monomial (xs, ys): degree, then length-lex x, then y."""
-    xs, ys = key
-    return (len(xs) - len(ys), len(xs), xs, len(ys), ys)
-
-
 def _raw_one(spec: FieldSpec):
     """The raw value of 1 in the field: a Fraction over Q, an int over F_p."""
     return 1 if spec.characteristic else Fraction(1)
@@ -153,28 +202,36 @@ def _integral(terms: Dict):
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
-def _expand(xs, ys, c, neg, n: int) -> Dict:
-    """The normal form of c x_xs y_ys in the Leavitt quotient L(n), as a fresh map; neg is -c.
+def _expand(X: int, Y: int, c, neg, n: int) -> Dict:
+    """The normal form of c x_X y_Y in the Leavitt quotient L(n), as a fresh map; neg is -c.
 
     For x_{A n^r} y_{n^s B}, A not ending and B not starting with n, and m = min(r, s), it is
     x_{A n^(r-m)} y_{n^(s-m) B} - sum_{t=1..m} sum_{i<n} x_{A n^(r-t) i} y_{i n^(s-t) B},
     whose terms are junction-free and distinct; the map holds the leading one first.
     """
-    r, m, most = len(xs), 0, min(len(xs), len(ys))
-    while m < most and xs[-1 - m] == n and ys[m] == n:
-        m += 1
-    out = {(xs[: r - m], ys[m:]): c}
-    letters = [(i,) for i in range(1, n)]
-    for t in range(1, m + 1):
-        left, right = xs[: r - t], ys[t:]
+    b = _field_bits(n)
+    low = (1 << b) - 1
+    sy = -(-Y.bit_length() // b) * b
+    x, s = X, sy - b  # s: the shift of Y's next letter
+    while s >= 0 and x & low == n and Y >> s & low == n:
+        x >>= b
+        s -= b
+    out = {(x, Y & ((1 << (s + b)) - 1)): c}
+    # step t leaves x_{A n^(r-t)} and y_{n^(s-t) B}, and puts each i < n between them
+    left, s, letters = X, sy, range(1, n)
+    while left != x:
+        left >>= b
+        s -= b
+        head, tail = left << b, Y & ((1 << s) - 1)
         for i in letters:
-            out[(left + i, i + right)] = neg
+            out[(head | i, i << s | tail)] = neg
     return out
 
 
-def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int) -> None:
+def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int) -> None:
     """Add sign * ca * cb into acc at the product of every left term x_I y_J
-    (integer coefficient ca) and right term x_K y_L (cb) that is nonzero.
+    (integer coefficient ca) and right term x_K y_L (cb) that is nonzero,
+    for words coded with b bits per letter.
 
     y_J x_K telescopes under y_i x_j = delta_ij and survives exactly when one
     of rev(J), K is a prefix of the other; the unconsumed letters stay on
@@ -185,62 +242,111 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int) -> None
     letter n and junction-free terms, a product has a junction only when
     rev(J) = K (both empty included), as a leftover of K ends x_K y_L and
     one of J starts x_I y_J; only those products are expanded, into acc.
+
+    On codes, with R the code of rev(J) and sj, sk, sl the bit lengths of
+    J, K, L rounded up to whole letters: rev(J) is a prefix of K when
+    K >> (sk - sj) == R, and then x_I x_{K minus rev(J)} is
+    ((I ^ R) << (sk - sj)) ^ K; K is a prefix of rev(J) when
+    R >> (sj - sk) == K, and then y_{J minus its last letters} y_L is
+    (J >> sk) << sl | L.
     """
     get = acc.get
-    scan = right.items()
+    low = (1 << b) - 1
+    rows = []  # each right term with the bit lengths of K and L, rounded up to whole letters
+    for (K, L), cb in right.items():
+        rows.append((K, L, cb, -(-K.bit_length() // b) * b, -(-L.bit_length() // b) * b))
     index = None
     if len(left) > 1:
         groups: Dict = {}
-        for term in scan:
-            groups.setdefault(term[0][0][:1], []).append(term)
-        empty = groups.pop((), [])
-        index = {first[0]: empty + group for first, group in groups.items()}
-    for (xs, ys), ca in left.items():
+        for row in rows:
+            groups.setdefault(row[0] >> (row[3] - b) if row[0] else 0, []).append(row)
+        empty = groups.pop(0, [])
+        index = {first: empty + group for first, group in groups.items()}
+    for (X, J), ca in left.items():
         ca *= sign
-        if not ys:
-            for (ks, ls), cb in scan:
-                if top and not ks and xs[-1:] == ls[:1] == (top,):
-                    for m, v in _expand(xs, ls, ca * cb, -ca * cb, top).items():
+        # a junction needs I to end in the top letter; top 0 is the Cohn product
+        ends = top and X & low == top
+        if not J:
+            for K, L, cb, sk, sl in rows:
+                if ends and not K and L and L >> (sl - b) == top:
+                    for m, v in _expand(X, L, ca * cb, -ca * cb, top).items():
                         acc[m] = get(m, 0) + v
                     continue
-                m = (xs + ks, ls)
+                m = (X << sk | K, L)
                 acc[m] = get(m, 0) + ca * cb
             continue
-        rj = ys[::-1]
-        lj = len(rj)
-        for (ks, ls), cb in scan if index is None else index.get(ys[-1], empty):
-            lk = len(ks)
-            if lj <= lk:
-                if ks[:lj] != rj:
+        R = J if J <= low else _rev(J, b)  # a one-letter word is its own reverse
+        sj = -(-J.bit_length() // b) * b
+        XR = X ^ R
+        for K, L, cb, sk, sl in rows if index is None else index.get(J & low, empty):
+            if sj <= sk:
+                d = sk - sj
+                if K >> d != R:
                     continue
-                if top and lj == lk and xs[-1:] == ls[:1] == (top,):
-                    for m, v in _expand(xs, ls, ca * cb, -ca * cb, top).items():
+                if ends and not d and L and L >> (sl - b) == top:
+                    for m, v in _expand(X, L, ca * cb, -ca * cb, top).items():
                         acc[m] = get(m, 0) + v
                     continue
-                m = (xs + ks[lj:], ls)
-            elif rj[:lk] == ks:
-                m = (xs, ys[: lj - lk] + ls)
+                m = (XR << d ^ K, L)
+            elif R >> (sj - sk) == K:
+                m = (X, J >> sk << sl | L)
             else:
                 continue
             acc[m] = get(m, 0) + ca * cb
 
 
 class _LetterTexts(dict):
-    """Letter -> text, each text made on first use; one map serves one printing call."""
+    """Letter -> its text and a comma, such as "12,", each made on first use."""
 
     def __missing__(self, letter: int) -> str:
-        text = self[letter] = str(letter)
+        text = self[letter] = str(letter) + ","
         return text
 
 
-def _word_text(tag: str, word, letters: _LetterTexts) -> str:
-    """A word's block text, such as x[1,2]."""
-    return tag + "[" + ",".join(map(letters.__getitem__, word)) + "]"
+class _WordTexts:
+    """Word code -> its letters' texts, each with a comma ("1,12,"), for one printing call.
+
+    A product extends x-words on the right and y-words on the left, so an
+    x-word's text is its prefix's and its last letter's, and a y-word's is
+    its first letter's and its suffix's.  Every text made is kept, so a
+    word whose prefix (suffix) has been printed costs one concatenation per
+    letter beyond it.
+    """
+
+    __slots__ = ("b", "letters", "xs", "ys")
+
+    def __init__(self, b: int):
+        self.b, self.letters = b, _LetterTexts()
+        self.xs, self.ys = {0: ""}, {0: ""}
+
+    def x(self, X: int) -> str:
+        known, b, letters = self.xs, self.b, self.letters
+        low, grow = (1 << b) - 1, []
+        while X not in known:
+            grow.append(X)
+            X >>= b
+        text = known[X]
+        for X in reversed(grow):
+            text = known[X] = text + letters[X & low]
+        return text
+
+    def y(self, Y: int) -> str:
+        known, b, letters = self.ys, self.b, self.letters
+        grow = []
+        while Y not in known:
+            s = (Y.bit_length() - 1) // b * b  # the shift of the first letter
+            grow.append((Y, Y >> s))
+            Y &= (1 << s) - 1
+        text = known[Y]
+        for Y, first in reversed(grow):
+            text = known[Y] = letters[first] + text
+        return text
 
 
 def _mono_text(xs, ys) -> str:
-    letters = _LetterTexts()
-    return "*".join([_word_text(tag, w, letters) for tag, w in (("x", xs), ("y", ys)) if w]) or "1"
+    """A monomial's text, such as x[1,2]*y[2], from its letter tuples."""
+    blocks = [tag + "[" + ",".join(map(str, w)) + "]" for tag, w in (("x", xs), ("y", ys)) if w]
+    return "*".join(blocks) or "1"
 
 
 class Monomial:
@@ -273,7 +379,7 @@ class Monomial:
 
 
 class _Terms(Mapping):
-    """Read-only Monomial -> Scalar view over an element's raw term map."""
+    """Read-only Monomial -> Scalar view over an element's raw term map, translating word codes."""
 
     __slots__ = ("_spec", "_n", "_raw")
 
@@ -285,12 +391,13 @@ class _Terms(Mapping):
 
     def __iter__(self):
         n = self._n
-        for xs, ys in self._raw:
-            yield Monomial(Word(xs, n), Word(ys, n))
+        for X, Y in self._raw:
+            yield Monomial(Word(_letters(X, n), n), Word(_letters(Y, n), n))
 
     def __getitem__(self, mono: Monomial) -> Scalar:
         if isinstance(mono, Monomial) and mono.n == self._n:
-            value = self._raw.get((mono.xs.letters, mono.ys.letters))
+            b = _field_bits(self._n)
+            value = self._raw.get((_code(mono.xs.letters, b), _code(mono.ys.letters, b)))
             if value is not None:
                 return Scalar(self._spec, value)
         raise KeyError(mono)
@@ -336,7 +443,7 @@ class _Element:
     @classmethod
     def one(cls: Type[_E], n: int, spec: FieldSpec) -> _E:
         _check_alphabet(n)
-        return cls._raw(spec, n, {((), ()): _raw_one(spec)})
+        return cls._raw(spec, n, {(0, 0): _raw_one(spec)})
 
     def _check(self, other: "_Element") -> None:
         if type(other) is not type(self):
@@ -424,9 +531,10 @@ class _Element:
             db, b = _integral(b)
             den = da * db
         acc: Dict = {}
-        _accumulate(acc, a, b, 1, top)
+        bits = _field_bits(self.n)
+        _accumulate(acc, a, b, 1, top, bits)
         if commutator:
-            _accumulate(acc, b, a, -1, top)
+            _accumulate(acc, b, a, -1, top, bits)
         if p == 0:
             value = {v: Fraction(v, den) for v in set(acc.values()) if v}
             return {m: value[v] for m, v in acc.items() if v}
@@ -443,7 +551,8 @@ class _Element:
         This is the linear functional sending x_I y_J to 1 when I = rev(J)
         and to 0 otherwise; it satisfies trace(ab) = trace(ba).
         """
-        total = sum(c for (xs, ys), c in self._terms.items() if xs == ys[::-1])
+        b = _field_bits(self.n)
+        total = sum(c for (X, Y), c in self._terms.items() if X == _rev(Y, b))
         return Scalar(self.spec, total)
 
     def __eq__(self, other) -> bool:
@@ -463,16 +572,17 @@ class _Element:
         if not terms:
             return "0"
         rational = self.spec.characteristic == 0
-        forms, xtext, ytext, letters, chunks = {}, {}, {}, _LetterTexts(), []
-        for (xs, ys), c in sorted(terms.items(), key=lambda item: _order(item[0])):
+        b = _field_bits(self.n)
+        forms, xtext, ytext, words, chunks = {}, {}, {}, _WordTexts(b), []
+        for (X, Y), c in sorted(terms.items(), key=_order(b)):
             form = forms.get(id(c))
             if form is None:
                 negative = rational and c < 0
                 mag = str(-c if negative else c)
                 form = forms[id(c)] = (" - " if negative else " + ", mag, "" if mag == "1" else mag + "*")
             sep, mag, prefix = form
-            x = xtext.get(xs) or xtext.setdefault(xs, _word_text("x", xs, letters)) if xs else ""
-            y = ytext.get(ys) or ytext.setdefault(ys, _word_text("y", ys, letters)) if ys else ""
+            x = xtext.get(X) or xtext.setdefault(X, "x[" + words.x(X)[:-1] + "]") if X else ""
+            y = ytext.get(Y) or ytext.setdefault(Y, "y[" + words.y(Y)[:-1] + "]") if Y else ""
             mono = x + "*" + y if x and y else x or y
             chunks += (sep, prefix + mono if mono else mag)
         chunks[0] = "-" if chunks[0] == " - " else ""
@@ -492,6 +602,7 @@ class CohnElement(_Element):
 
     def __init__(self, spec: FieldSpec, n: int, terms: Mapping):
         _check_alphabet(n)
+        b = _field_bits(n)
         raw = {}
         for m, c in terms.items():
             if not isinstance(m, Monomial):
@@ -503,7 +614,7 @@ class CohnElement(_Element):
             if c.spec != spec:
                 raise ValueError(f"coefficient field {c.spec} does not match element field {spec}")
             if not c.is_zero():
-                raw[(m.xs.letters, m.ys.letters)] = c.value
+                raw[(_code(m.xs.letters, b), _code(m.ys.letters, b))] = c.value
         self.spec = spec
         self.n = n
         self._terms = raw
@@ -521,8 +632,9 @@ class CohnElement(_Element):
     def degree_split(self) -> Dict[int, "CohnElement"]:
         """Partition into homogeneous parts under deg(x_i) = 1, deg(y_i) = -1."""
         parts: Dict[int, Dict] = {}
+        degree = _degree(_field_bits(self.n))
         for m, c in self._terms.items():
-            parts.setdefault(len(m[0]) - len(m[1]), {})[m] = c
+            parts.setdefault(degree(m), {})[m] = c
         return {d: self._like(t) for d, t in sorted(parts.items())}
 
     def __mul__(self, other):
@@ -538,19 +650,20 @@ class CohnElement(_Element):
 
 
 def x_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, word.n, {(word.letters, ()): _raw_one(spec)})
+    return CohnElement._raw(spec, word.n, {(_code(word.letters, _field_bits(word.n)), 0): _raw_one(spec)})
 
 
 def y_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, word.n, {((), word.letters): _raw_one(spec)})
+    return CohnElement._raw(spec, word.n, {(0, _code(word.letters, _field_bits(word.n))): _raw_one(spec)})
 
 
+# a one-letter word's code is the letter itself
 def x_gen(i: int, n: int, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, n, {(_checked_letters((i,), n), ()): _raw_one(spec)})
+    return CohnElement._raw(spec, n, {(_checked_letters((i,), n)[0], 0): _raw_one(spec)})
 
 
 def y_gen(i: int, n: int, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, n, {((), _checked_letters((i,), n)): _raw_one(spec)})
+    return CohnElement._raw(spec, n, {(0, _checked_letters((i,), n)[0]): _raw_one(spec)})
 
 
 def ideal_generator(n: int, spec: FieldSpec) -> CohnElement:
@@ -558,9 +671,9 @@ def ideal_generator(n: int, spec: FieldSpec) -> CohnElement:
     _check_alphabet(n)
     one = _raw_one(spec)
     minus_one = spec.characteristic - 1 if spec.characteristic else -one
-    terms = {((), ()): one}
+    terms = {(0, 0): one}
     for i in range(1, n + 1):
-        terms[((i,), (i,))] = minus_one
+        terms[(i, i)] = minus_one
     return CohnElement._raw(spec, n, terms)
 
 
@@ -605,6 +718,7 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
     if not tokens:
         raise ValueError("empty element text")
     _check_alphabet(n)
+    b = _field_bits(n)
     p = spec.characteristic
     one = _raw_one(spec)
     out: Dict = {}
@@ -621,7 +735,7 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
             raise ValueError(f"expected '+' or '-' between terms, got {kind!r}")
         first = False
         # a term is one monomial, None once its blocks multiply to zero, times a coefficient
-        mono, coeff = ((), ()), sign
+        mono, coeff = (0, 0), sign
         expect_factor = True
         while idx < len(tokens):
             kind, val = tokens[idx]
@@ -646,12 +760,18 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
                         c = Fraction(val, den)
                 coeff = coeff * c % p if p else coeff * c
             elif kind in ("x", "y"):
-                letters = _checked_letters(val, n)
+                code = _code(_checked_letters(val, n), b)
                 if mono is not None:
-                    block = (letters, ()) if kind == "x" else ((), letters)
-                    product: Dict = {}
-                    _accumulate(product, {mono: 1}, {block: 1}, 1, 0)
-                    mono = next(iter(product), None)
+                    X, Y = mono
+                    if kind == "y":
+                        mono = (X, Y << len(val) * b | code)
+                    elif not Y:
+                        mono = (X << len(val) * b | code, 0)
+                    else:
+                        # y_Y x_code telescopes
+                        product: Dict = {}
+                        _accumulate(product, {mono: 1}, {(code, 0): 1}, 1, 0, b)
+                        mono = next(iter(product), None)
             else:
                 raise ValueError(f"unexpected {kind!r} in element text")
             idx += 1

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar, _check_int
-from .cohn import CohnElement, Word, _absorb, _Element, _expand, _mono_text, _order, x_gen, x_word, y_gen
+from .cohn import CohnElement, Word, _absorb, _Element, _expand, _field_bits, _letters, _mono_text
+from .cohn import x_gen, x_word, y_gen
 
 __all__ = [
     "LeavittElement",
@@ -47,16 +48,25 @@ class RewriteStep(NamedTuple):
     right: Word
 
 
+def _junctions(terms, n: int) -> List:
+    """The monomials x_{Ln} y_{nR} of a raw term map: X's last field and Y's first are n."""
+    b = _field_bits(n)
+    low = (1 << b) - 1
+    # (bits - 1) // b * b is the shift of a nonempty code's first field
+    return [(X, Y) for X, Y in terms if X & low == n and Y and Y >> (Y.bit_length() - 1) // b * b == n]
+
+
 def _reduce(terms: Dict, spec: FieldSpec, n: int, trace: Optional[List[RewriteStep]]) -> Dict:
     """Bring a raw term map, which it takes over, to its normal form, and return it."""
     p = spec.characteristic
     # expansions are junction-free, so each junction term stays in terms until popped
-    for xs, ys in [(xs, ys) for xs, ys in terms if xs and ys and xs[-1] == ys[0] == n]:
-        c = terms.pop((xs, ys))
+    for X, Y in _junctions(terms, n):
+        c = terms.pop((X, Y))
         neg = p - c if p else -c
-        part = _expand(xs, ys, c, neg, n)
+        part = _expand(X, Y, c, neg, n)
         if trace is not None:
-            for t in range(1, len(xs) - len(next(iter(part))[0]) + 1):
+            xs, ys = _letters(X, n), _letters(Y, n)
+            for t in range(1, len(xs) - len(_letters(next(iter(part))[0], n)) + 1):
                 trace.append(RewriteStep(Scalar(spec, neg), Word(xs[:-t], n), Word(ys[t:], n)))
         if len(part) > len(terms):
             terms, part = part, terms
@@ -90,11 +100,13 @@ class LeavittElement(_Element):
     def __init__(self, rep: CohnElement):
         if not isinstance(rep, CohnElement):
             raise TypeError(f"expected CohnElement, got {type(rep).__name__}")
-        for xs, ys in rep._terms:
-            if xs and ys and xs[-1] == ys[0] == rep.n:
-                raise ValueError(
-                    f"representative is not in normal form: junction monomial {_mono_text(xs, ys)}"
-                )
+        junctions = _junctions(rep._terms, rep.n)
+        if junctions:
+            X, Y = junctions[0]
+            raise ValueError(
+                "representative is not in normal form: junction monomial "
+                + _mono_text(_letters(X, rep.n), _letters(Y, rep.n))
+            )
         self.spec = rep.spec
         self.n = rep.n
         self._terms = rep._terms
@@ -160,16 +172,17 @@ def independence_check(words: Sequence[Word]) -> bool:
 def _linearly_independent(rows: List[Dict], p: int) -> bool:
     """Row echelon elimination over the sparse monomial support of raw term maps.
 
-    Each stored row is scaled to 1 at its leading monomial, the greatest in
-    print order, which leads no other stored row.  A row is reduced only at
-    its own leading monomial, so a row that meets no stored leader costs
-    one step however many rows are stored.
+    Each stored row is scaled to 1 at its leading monomial, the greatest
+    key (X, Y), which leads no other stored row.  Any total order of the
+    keys serves.  A row is reduced only at its own leading monomial, so a
+    row that meets no stored leader costs one step however many rows are
+    stored.
     """
     pivots: Dict = {}
     for row in rows:
         work = dict(row)
         while work:
-            piv = max(work, key=_order)
+            piv = max(work)
             prow = pivots.get(piv)
             if prow is None:
                 break

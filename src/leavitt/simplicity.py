@@ -93,13 +93,19 @@ def build_witness(spec: FieldSpec, n: int, d: int) -> BracketWitness:
     ones ending in -(d-1) = 1.
     """
     from .leavitt import LeavittElement
-    from .matrix import unit
+    from .matrix import MatrixElement
 
     verdict = is_simple(spec, n, d)
     if verdict.simple:
         raise ValueError(
             f"no witness exists: the Lie algebra is simple for {spec}, n={n}, d={d}"
         )
+    zero = LeavittElement.zero(n, spec)
+
+    def place(entry, i: int, j: int) -> MatrixElement:
+        # matrix.unit without its checks: spec, n and d were checked once above
+        return MatrixElement._from_map(zero, d, {} if entry.is_zero() else {(i - 1, j - 1): entry})
+
     pairs: List[Tuple[MatrixElement, MatrixElement]] = []
     if not spec.divides(n - 1):
         inv = spec.from_int(n - 1).inv()
@@ -107,14 +113,14 @@ def build_witness(spec: FieldSpec, n: int, d: int) -> BracketWitness:
         ys = [LeavittElement.y_gen(i, n, spec).scale(inv) for i in range(1, n + 1)]
         xs = [LeavittElement.x_gen(i, n, spec) for i in range(1, n + 1)]
         for j in range(1, d + 1):
-            pairs.extend((unit(y, j, j, d), unit(x, j, j, d)) for y, x in zip(ys, xs))
+            pairs.extend((place(y, j, j), place(x, j, j)) for y, x in zip(ys, xs))
     else:
         # characteristic divides both n-1 and d; d >= 2 since char >= 2
         assert d >= 2
         one = LeavittElement.one(n, spec)
         for j in range(1, d):
-            left = unit(one.scale(spec.from_int(j)), j, j + 1, d)
-            right = unit(one, j + 1, j, d)
+            left = place(one.scale(spec.from_int(j)), j, j + 1)
+            right = place(one, j + 1, j)
             pairs.append((left, right))
     return BracketWitness(spec, n, d, tuple(pairs))
 

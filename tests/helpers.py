@@ -1,6 +1,6 @@
 """Shared test utilities: random generators, the brute-force product and
-normal-form oracles, a reference printer, and the isomorphism
-L(n) -> M_n(L(n))."""
+normal-form oracles, a reference printer, the isomorphism L(n) -> M_n(L(n)),
+and the translation between raw term maps and letter tuples."""
 
 from __future__ import annotations
 
@@ -119,6 +119,26 @@ def oracle_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return Monomial(Word(xs, n), Word(ys, n))
 
 
+def letter_terms(raw: dict, n: int) -> dict:
+    """A raw term map keyed by letter tuples, {(xs, ys): value}.
+
+    Each key of raw is decoded by the public `terms` view, so tests read
+    raw maps without knowing how the package stores a word.
+    """
+    view = CohnElement._raw(FieldSpec(0), n, raw).terms
+    return {(m.xs.letters, m.ys.letters): v for m, v in zip(view, raw.values())}
+
+
+def coded_terms(terms: dict, n: int) -> dict:
+    """The raw term map of {(xs, ys): value}, each word encoded by the public constructor.
+
+    The values are kept as they are, the same objects.
+    """
+    one = Scalar(FieldSpec(0), 1)
+    ones = CohnElement(FieldSpec(0), n, {Monomial(Word(xs, n), Word(ys, n)): one for xs, ys in terms})
+    return dict(zip(ones._terms, terms.values()))
+
+
 def reference_str(a) -> str:
     """The canonical text of a Cohn or Leavitt element, by the plain loop.
 
@@ -127,7 +147,7 @@ def reference_str(a) -> str:
     is left out before a monomial, and over Q a negative one becomes " - ".
     Independent of the memoized printer of the package.
     """
-    terms = a._terms
+    terms = letter_terms(a._terms, a.n)
     if not terms:
         return "0"
     rational = a.spec.characteristic == 0
@@ -189,7 +209,7 @@ def worklist_normal_form(
     """
     spec, n = c.spec, c.n
     p = spec.characteristic
-    terms = dict(c._terms)
+    terms = letter_terms(c._terms, n)
 
     def has_junction(m) -> bool:
         xs, ys = m
@@ -225,4 +245,68 @@ def worklist_normal_form(
         for i in range(1, n):
             absorb((left + (i,), (i,) + right), neg)
     # the checked constructor rejects any junction the queue missed
-    return LeavittElement(CohnElement._raw(spec, n, terms))
+    return LeavittElement(CohnElement._raw(spec, n, coded_terms(terms, n)))
+
+
+# --- stabilization oracle ------------------------------------------------------
+#
+# In L(n), 1 = sum_i x_i y_i gives x_I y_J = sum_i x_{Ii} y_{iJ}, and so
+# x_I y_J = sum_w x_{Iw} y_{rev(w) J} over the words w of any length t.  The
+# monomials of one degree whose y-words have one length k are matrix units
+# (x_I y_J -> e_{I, rev J}), and expanding to a fixed k is injective.  So two
+# elements are equal in L(n) exactly when their expansions to a common k agree
+# as maps, and once the y-words of a and the x-words of b have one length k,
+# x_I y_J * x_K y_L is x_I y_L when K = rev(J) and 0 otherwise.  No junction
+# is ever rewritten.  The maps here are {(xs, ys): raw value} on letter tuples.
+
+
+def _add_into(out: dict, m, v, p: int) -> None:
+    v = (out.get(m, 0) + v) % p if p else out.get(m, 0) + v
+    if v:
+        out[m] = v
+    else:
+        out.pop(m, None)
+
+
+def add_terms(a: dict, b: dict, p: int, scale: int = 1) -> dict:
+    """a + scale * b for letter-tuple maps over F_p (Q when p is 0)."""
+    out = dict(a)
+    for m, v in b.items():
+        _add_into(out, m, scale * v, p)
+    return out
+
+
+def _words(n: int, t: int):
+    words = [()]
+    for _ in range(t):
+        words = [w + (i,) for w in words for i in range(1, n + 1)]
+    return words
+
+
+def stab_expand(terms: dict, n: int, p: int, k: int, side: int = 1) -> dict:
+    """Every monomial rewritten by x_I y_J = sum_w x_{Iw} y_{rev(w) J} until
+    its y-word (side 1) or its x-word (side 0) has length k."""
+    out: dict = {}
+    for (xs, ys), c in terms.items():
+        for w in _words(n, k - len((xs, ys)[side])):
+            _add_into(out, (xs + w, w[::-1] + ys), c, p)
+    return out
+
+
+def stab_equal(a: dict, b: dict, n: int, p: int) -> bool:
+    """Whether two letter-tuple maps are equal as elements of L(n)."""
+    k = max([len(ys) for _, ys in list(a) + list(b)], default=0)
+    return stab_expand(a, n, p, k) == stab_expand(b, n, p, k)
+
+
+def stab_mul(a: dict, b: dict, n: int, p: int) -> dict:
+    """A letter-tuple map of the product ab in L(n), made with no junction rewriting."""
+    k = max([len(ys) for _, ys in a] + [len(xs) for xs, _ in b], default=0)
+    by_x: dict = {}
+    for (ks, ls), d in stab_expand(b, n, p, k, side=0).items():
+        by_x.setdefault(ks, []).append((ls, d))
+    out: dict = {}
+    for (xs, ys), c in stab_expand(a, n, p, k).items():
+        for ls, d in by_x.get(ys[::-1], ()):
+            _add_into(out, (xs, ls), c * d, p)
+    return out

@@ -20,7 +20,7 @@ from leavitt import (
     y_word,
 )
 
-from helpers import oracle_mul, random_cohn, random_element, random_monomial, random_scalar
+from helpers import letter_terms, oracle_mul, random_cohn, random_element, random_monomial, random_scalar
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -500,7 +500,8 @@ def test_parse_element_error_messages(text, n, p, error, message):
 
 def _assert_canonical(e):
     p = e.spec.characteristic
-    for (xs, ys), v in e._terms.items():
+    assert all(type(X) is int and type(Y) is int for X, Y in e._terms)
+    for (xs, ys), v in letter_terms(e._terms, e.n).items():
         assert all(type(i) is int for i in xs + ys)
         assert type(v) is (int if p else Fraction) and v != 0
         assert 0 < v < p if p else v.denominator > 0 and gcd(v.numerator, v.denominator) == 1

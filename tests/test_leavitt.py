@@ -23,7 +23,7 @@ from leavitt import (
     y_word,
 )
 
-from helpers import random_cohn, random_scalar, worklist_normal_form
+from helpers import letter_terms, random_cohn, random_scalar, worklist_normal_form
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -213,7 +213,9 @@ def test_products_expand_a_full_cancellation_in_closed_form(monkeypatch):
     )
     calls = []
     expand = cohn_module._expand
-    monkeypatch.setattr(cohn_module, "_expand", lambda *args: calls.append(args[:2]) or expand(*args))
+    monkeypatch.setattr(
+        cohn_module, "_expand", lambda *args: calls.extend(letter_terms({args[:2]: None}, 3)) or expand(*args)
+    )
     pairs = (
         (((1, 3, 3), ()), ((), (3, 3, 2))),
         (((1, 3, 3), (2, 1)), ((1, 2), (3, 3, 2))),
@@ -317,7 +319,7 @@ def test_independence_check_eliminates_the_normal_forms(monkeypatch):
     eliminate = leavitt_module._linearly_independent
     monkeypatch.setattr(leavitt_module, "_linearly_independent", lambda r, p: rows.extend(r) or eliminate(r, p))
     assert independence_check([Word((1,), 2), Word((2, 1), 2)])
-    assert rows == [{((1,), ()): 1}, {((2, 1), ()): 1}]
+    assert [letter_terms(r, 2) for r in rows] == [{((1,), ()): 1}, {((2, 1), ()): 1}]
 
 
 def test_independence_over_all_short_words():

@@ -7,9 +7,28 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from leavitt import CohnElement, FieldSpec, LeavittElement, Monomial, Scalar, Word, normal_form, parse_element
+from leavitt import (
+    CohnElement,
+    FieldSpec,
+    LeavittElement,
+    Monomial,
+    Scalar,
+    Word,
+    normal_form,
+    normal_form_with_trace,
+    parse_element,
+)
 
-from helpers import reference_str, worklist_normal_form
+from helpers import (
+    add_terms,
+    coded_terms,
+    letter_terms,
+    reference_str,
+    stab_equal,
+    stab_expand,
+    stab_mul,
+    worklist_normal_form,
+)
 
 
 @st.composite
@@ -101,7 +120,7 @@ def printable_elements(draw):
     slots = draw(st.dictionaries(st.tuples(word, word), st.integers(0, len(pool) - 1), max_size=6))
     shared = draw(st.booleans())
     terms = {m: pool[k] if shared else copy(pool[k]) for m, k in slots.items()}
-    return CohnElement._raw(FieldSpec(p), n, terms)
+    return CohnElement._raw(FieldSpec(p), n, coded_terms(terms, n))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -110,3 +129,84 @@ def test_printing_agrees_with_the_reference_printer_and_parses_back(a):
     text = str(a)
     assert text == reference_str(a)
     assert parse_element(text, a.n, a.spec) == a
+
+
+@st.composite
+def junction_operands(draw):
+    """Two junction-free Leavitt elements over Q, F2, F3 or F7 with n = 2 or 3
+    whose products meet junctions: terms x_{A n^r} y_W of the left factor
+    meet terms x_{rev W} y_{n^s B} of the right one, W empty or not starting
+    with n, A not ending and B not starting with n; each factor may also
+    hold a short junction-free term."""
+    n = draw(st.sampled_from((2, 3)))
+    spec = FieldSpec(draw(st.sampled_from((0, 2, 3, 7))))
+    p = spec.characteristic
+    if p:
+        coeff = st.integers(1, p - 1)
+    else:
+        coeff = st.builds(Fraction, st.sampled_from((-3, -1, 1, 2)), st.integers(1, 3))
+    word = st.lists(st.integers(1, n), max_size=2).map(tuple)
+    not_first = word.filter(lambda w: w[:1] != (n,))
+    not_last = st.lists(st.integers(1, n), max_size=1).map(tuple).filter(lambda w: w[-1:] != (n,))
+    middles = draw(st.lists(not_first, min_size=1, max_size=2))
+
+    def element(left):
+        terms = {}
+        for _ in range(draw(st.integers(1, 3))):
+            w, run = draw(st.sampled_from(middles)), (n,) * draw(st.integers(0, 3))
+            if left:
+                xs, ys = draw(not_last) + run, w
+            else:
+                xs, ys = w[::-1], run + draw(not_last)[::-1]
+            terms[(xs, ys)] = draw(coeff)
+        if draw(st.booleans()):
+            xs, ys = draw(word), draw(word)
+            if not (xs[-1:] == ys[:1] == (n,)):
+                terms[(xs, ys)] = draw(coeff)
+        return LeavittElement(CohnElement(spec, n, {
+            Monomial(Word(xs, n), Word(ys, n)): Scalar(spec, c) for (xs, ys), c in terms.items()}))
+
+    return element(True), element(False)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(junction_operands())
+def test_leavitt_arithmetic_agrees_with_the_stabilization_oracle(pair):
+    a, b = pair
+    n, spec = a.n, a.spec
+    p = spec.characteristic
+    ta, tb = letter_terms(a._terms, n), letter_terms(b._terms, n)
+
+    def same(e, want):
+        # a normal form, which the checked constructor accepts, and the right element of L(n)
+        return LeavittElement(e.rep) == e and stab_equal(letter_terms(e._terms, n), want, n, p)
+
+    ab, ba = stab_mul(ta, tb, n, p), stab_mul(tb, ta, n, p)
+    assert same(a * b, ab)
+    assert same(a.bracket(b), add_terms(ab, ba, p, -1))
+    assert same(a**2, stab_mul(ta, ta, n, p))
+    # the Cohn product carries the junctions; its normal form is the same element of L(n)
+    c = a.rep * b.rep
+    tc = letter_terms(c._terms, n)
+    nf, steps = normal_form_with_trace(c)
+    assert nf == normal_form(c) and same(nf, tc) and stab_equal(tc, ab, n, p)
+    # each step is an ideal multiple, zero in L(n), and together they are c - nf(c)
+    total = {}
+    for step in steps:
+        v, left, right = step.coefficient.value, step.left.letters, step.right.letters
+        multiple = {(left, right): v}
+        for i in range(1, n + 1):
+            multiple[(left + (i,), (i,) + right)] = -v % p if p else -v
+        assert stab_equal(multiple, {}, n, p)
+        total = add_terms(total, multiple, p)
+    assert total == add_terms(tc, letter_terms(nf._terms, n), p, -1)
+    # growing every monomial by t letters scales the Cohn trace by n^t
+    for t in (1, 2):
+        grown = {}
+        for (xs, ys), v in tc.items():
+            grown = add_terms(grown, stab_expand({(xs, ys): v}, n, p, len(ys) + t), p)
+        e = CohnElement(spec, n, {
+            Monomial(Word(xs, n), Word(ys, n)): Scalar(spec, v) for (xs, ys), v in grown.items()})
+        assert e.trace() == c.trace() * spec.from_int(n**t)
+    if spec.divides(n - 1):
+        assert nf.trace() == c.trace()

@@ -172,6 +172,29 @@ def test_witness_entries_are_built_printed_and_parsed_once(monkeypatch):
     assert sorted(parsed) == sorted(set(parsed)) and len(parsed) == 6
 
 
+def test_witness_places_its_entries_without_the_checked_unit(monkeypatch):
+    # build_witness checks spec, n and d once, so its 2n*d (or d-1) placements skip unit's checks
+    F2, F3 = FieldSpec(2), FieldSpec(3)
+    expected = {}
+    for spec, n, d in ((Q, 3, 4), (F3, 3, 2), (F2, 3, 4), (F3, 4, 3)):
+        if not spec.divides(n - 1):
+            inv = spec.from_int(n - 1).inv()
+            ys = [LeavittElement.y_gen(i, n, spec).scale(inv) for i in range(1, n + 1)]
+            xs = [LeavittElement.x_gen(i, n, spec) for i in range(1, n + 1)]
+            pairs = [(unit(y, j, j, d), unit(x, j, j, d)) for j in range(1, d + 1) for y, x in zip(ys, xs)]
+        else:
+            one = LeavittElement.one(n, spec)
+            pairs = [(unit(one * j, j, j + 1, d), unit(one, j + 1, j, d)) for j in range(1, d)]
+        expected[(spec, n, d)] = BracketWitness(spec, n, d, tuple(pairs))
+    assert expected[(F2, 3, 4)].pairs[1][0].entries == {}  # 2 * 1 is zero in F2: nothing stored
+    monkeypatch.setattr(matrix, "unit", lambda *args: pytest.fail("build_witness called matrix.unit"))
+    for (spec, n, d), want in expected.items():
+        got = build_witness(spec, n, d)
+        assert got == want and verify_witness(got)
+        for pair, want_pair in zip(got.pairs, want.pairs):
+            assert [m.entries for m in pair] == [m.entries for m in want_pair]
+
+
 def test_identity_matrix_prints_its_diagonal_once(monkeypatch):
     one = LeavittElement.one(2, Q)
     printed = []
