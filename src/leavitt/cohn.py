@@ -33,8 +33,8 @@ It raises TypeError for an operand that is not a CohnElement.
 
 Printing formats each coefficient object once per call (keyed by id, as
 equal values often share one object) and writes each distinct x-word and
-y-word once: an x-word's text grows from its prefix's and a y-word's from
-its suffix's, as products build the words.
+y-word once, growing its text from that of its longest prefix already
+written.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import re
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterator, Optional, Tuple, Type, TypeVar
+from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from .coeffs import FieldSpec, Scalar, _check_int
 
@@ -81,9 +81,19 @@ def _checked_letters(letters, n: int) -> Tuple[int, ...]:
     return letters
 
 
+def _span(code: int, b: int) -> int:
+    """The bit length of code rounded up to a multiple of b: for a word code, b times its length."""
+    return -(-code.bit_length() // b) * b
+
+
+def _first(code: int, b: int) -> int:
+    """The first letter of a nonempty word code, b bits per letter."""
+    return code >> (code.bit_length() - 1) // b * b
+
+
 def _field_bits(n: int) -> int:
     """Bits per letter of a word code over {1..n}: four per hex digit of n."""
-    return -(-n.bit_length() // 4) * 4
+    return _span(n, 4)
 
 
 def _code(letters, b: int) -> int:
@@ -115,7 +125,8 @@ def _rev(code: int, b: int) -> int:
 
 def _degree(b: int):
     """Degree of a raw monomial (X, Y), b bits per letter: x-letters count +1, y-letters -1."""
-    # -(-bits // b) is the letter count, so this is len(X) - len(Y)
+    # -(-bits // b) is the letter count, so this is len(X) - len(Y); it is
+    # written out rather than through _span, as printing sorts every term by it
     return lambda m: -m[1].bit_length() // b - -m[0].bit_length() // b
 
 
@@ -124,9 +135,10 @@ def _order(b: int):
 
     A code with more letters is the larger, and codes of one length
     compare as their words do, so the codes themselves order length-lex.
-    The degree is `_degree`'s, inlined, as printing sorts every term.
+    The key is flat, (degree, X, Y), as a nested pair compares slower.
     """
-    return lambda term: (-term[0][1].bit_length() // b - -term[0][0].bit_length() // b, term[0])
+    degree = _degree(b)
+    return lambda term: (degree(term[0]), *term[0])
 
 
 class Word:
@@ -211,7 +223,7 @@ def _expand(X: int, Y: int, c, neg, n: int) -> Dict:
     """
     b = _field_bits(n)
     low = (1 << b) - 1
-    sy = -(-Y.bit_length() // b) * b
+    sy = _span(Y, b)
     x, s = X, sy - b  # s: the shift of Y's next letter
     while s >= 0 and x & low == n and Y >> s & low == n:
         x >>= b
@@ -226,6 +238,13 @@ def _expand(X: int, Y: int, c, neg, n: int) -> Dict:
         for i in letters:
             out[(head | i, i << s | tail)] = neg
     return out
+
+
+def _junctions(terms, n: int) -> List:
+    """The monomials x_{Ln} y_{nR} of a raw term map over {1..n}: X's last letter and Y's first are n."""
+    b = _field_bits(n)
+    low = (1 << b) - 1
+    return [(X, Y) for X, Y in terms if X & low == n and Y and _first(Y, b) == n]
 
 
 def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int) -> None:
@@ -254,12 +273,12 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int)
     low = (1 << b) - 1
     rows = []  # each right term with the bit lengths of K and L, rounded up to whole letters
     for (K, L), cb in right.items():
-        rows.append((K, L, cb, -(-K.bit_length() // b) * b, -(-L.bit_length() // b) * b))
+        rows.append((K, L, cb, _span(K, b), _span(L, b)))
     index = None
     if len(left) > 1:
         groups: Dict = {}
         for row in rows:
-            groups.setdefault(row[0] >> (row[3] - b) if row[0] else 0, []).append(row)
+            groups.setdefault(_first(row[0], b) if row[0] else 0, []).append(row)
         empty = groups.pop(0, [])
         index = {first: empty + group for first, group in groups.items()}
     for (X, J), ca in left.items():
@@ -268,22 +287,22 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int)
         ends = top and X & low == top
         if not J:
             for K, L, cb, sk, sl in rows:
-                if ends and not K and L and L >> (sl - b) == top:
+                if ends and not K and L and _first(L, b) == top:
                     for m, v in _expand(X, L, ca * cb, -ca * cb, top).items():
                         acc[m] = get(m, 0) + v
                     continue
                 m = (X << sk | K, L)
                 acc[m] = get(m, 0) + ca * cb
             continue
-        R = J if J <= low else _rev(J, b)  # a one-letter word is its own reverse
-        sj = -(-J.bit_length() // b) * b
+        R = _rev(J, b)
+        sj = _span(J, b)
         XR = X ^ R
         for K, L, cb, sk, sl in rows if index is None else index.get(J & low, empty):
             if sj <= sk:
                 d = sk - sj
                 if K >> d != R:
                     continue
-                if ends and not d and L and L >> (sl - b) == top:
+                if ends and not d and L and _first(L, b) == top:
                     for m, v in _expand(X, L, ca * cb, -ca * cb, top).items():
                         acc[m] = get(m, 0) + v
                     continue
@@ -295,57 +314,48 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int)
             acc[m] = get(m, 0) + ca * cb
 
 
-class _LetterTexts(dict):
-    """Letter -> its text and a comma, such as "12,", each made on first use."""
+class _LetterEnds(dict):
+    """Letter -> the text that ends a block after it, such as ",12]", each made on first use."""
 
     def __missing__(self, letter: int) -> str:
-        text = self[letter] = str(letter) + ","
+        text = self[letter] = "," + str(letter) + "]"
         return text
 
 
-class _WordTexts:
-    """Word code -> its letters' texts, each with a comma ("1,12,"), for one printing call.
+class _BlockTexts(dict):
+    """Word code -> its block text, such as "x[1,12]" ("" for the empty word), for one printing call.
 
-    A product extends x-words on the right and y-words on the left, so an
-    x-word's text is its prefix's and its last letter's, and a y-word's is
-    its first letter's and its suffix's.  Every text made is kept, so a
-    word whose prefix (suffix) has been printed costs one concatenation per
-    letter beyond it.
+    Products extend words at their ends, so the words of one element share
+    prefixes.  A new word's text is written from its longest prefix already
+    written, one letter at a time, and every prefix passed is kept: one more
+    letter is the prefix's text without its "]", then the letter's end.
     """
 
-    __slots__ = ("b", "letters", "xs", "ys")
+    __slots__ = ("head", "b", "ends")
 
-    def __init__(self, b: int):
-        self.b, self.letters = b, _LetterTexts()
-        self.xs, self.ys = {0: ""}, {0: ""}
+    def __init__(self, tag: str, b: int, ends: _LetterEnds):
+        super().__init__({0: ""})
+        self.head, self.b, self.ends = tag + "[", b, ends
 
-    def x(self, X: int) -> str:
-        known, b, letters = self.xs, self.b, self.letters
-        low, grow = (1 << b) - 1, []
-        while X not in known:
-            grow.append(X)
-            X >>= b
-        text = known[X]
-        for X in reversed(grow):
-            text = known[X] = text + letters[X & low]
-        return text
-
-    def y(self, Y: int) -> str:
-        known, b, letters = self.ys, self.b, self.letters
-        grow = []
-        while Y not in known:
-            s = (Y.bit_length() - 1) // b * b  # the shift of the first letter
-            grow.append((Y, Y >> s))
-            Y &= (1 << s) - 1
-        text = known[Y]
-        for Y, first in reversed(grow):
-            text = known[Y] = letters[first] + text
+    def __missing__(self, word: int) -> str:
+        b, ends = self.b, self.ends
+        low, code, path = (1 << b) - 1, word, []
+        while code not in self:
+            path.append(code)
+            code >>= b
+        if not code:  # a one-letter word, whose code is its letter, opens the block
+            code = path.pop()
+            self[code] = self.head + ends[code][1:]
+        text = self[code]
+        for code in reversed(path):
+            text = self[code] = text[:-1] + ends[code & low]
         return text
 
 
-def _mono_text(xs, ys) -> str:
-    """A monomial's text, such as x[1,2]*y[2], from its letter tuples."""
-    blocks = [tag + "[" + ",".join(map(str, w)) + "]" for tag, w in (("x", xs), ("y", ys)) if w]
+def _mono_text(X: int, Y: int, n: int) -> str:
+    """A monomial's text, such as x[1,2]*y[2], from its word codes over {1..n}; "1" if both are empty."""
+    b, ends = _field_bits(n), _LetterEnds()
+    blocks = [_BlockTexts(tag, b, ends)[code] for tag, code in (("x", X), ("y", Y)) if code]
     return "*".join(blocks) or "1"
 
 
@@ -375,7 +385,8 @@ class Monomial:
         return hash((self.xs, self.ys))
 
     def __repr__(self) -> str:
-        return _mono_text(self.xs.letters, self.ys.letters)
+        b = _field_bits(self.n)
+        return _mono_text(_code(self.xs.letters, b), _code(self.ys.letters, b), self.n)
 
 
 class _Terms(Mapping):
@@ -572,8 +583,8 @@ class _Element:
         if not terms:
             return "0"
         rational = self.spec.characteristic == 0
-        b = _field_bits(self.n)
-        forms, xtext, ytext, words, chunks = {}, {}, {}, _WordTexts(b), []
+        b, ends = _field_bits(self.n), _LetterEnds()
+        forms, xtext, ytext, chunks = {}, _BlockTexts("x", b, ends), _BlockTexts("y", b, ends), []
         for (X, Y), c in sorted(terms.items(), key=_order(b)):
             form = forms.get(id(c))
             if form is None:
@@ -581,8 +592,7 @@ class _Element:
                 mag = str(-c if negative else c)
                 form = forms[id(c)] = (" - " if negative else " + ", mag, "" if mag == "1" else mag + "*")
             sep, mag, prefix = form
-            x = xtext.get(X) or xtext.setdefault(X, "x[" + words.x(X)[:-1] + "]") if X else ""
-            y = ytext.get(Y) or ytext.setdefault(Y, "y[" + words.y(Y)[:-1] + "]") if Y else ""
+            x, y = xtext[X], ytext[Y]
             mono = x + "*" + y if x and y else x or y
             chunks += (sep, prefix + mono if mono else mag)
         chunks[0] = "-" if chunks[0] == " - " else ""
@@ -762,16 +772,9 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
             elif kind in ("x", "y"):
                 code = _code(_checked_letters(val, n), b)
                 if mono is not None:
-                    X, Y = mono
-                    if kind == "y":
-                        mono = (X, Y << len(val) * b | code)
-                    elif not Y:
-                        mono = (X << len(val) * b | code, 0)
-                    else:
-                        # y_Y x_code telescopes
-                        product: Dict = {}
-                        _accumulate(product, {mono: 1}, {(code, 0): 1}, 1, 0, b)
-                        mono = next(iter(product), None)
+                    product: Dict = {}
+                    _accumulate(product, {mono: 1}, {(code, 0) if kind == "x" else (0, code): 1}, 1, 0, b)
+                    mono = next(iter(product), None)
             else:
                 raise ValueError(f"unexpected {kind!r} in element text")
             idx += 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar, _check_int
-from .cohn import CohnElement, Word, _absorb, _Element, _expand, _field_bits, _letters, _mono_text
+from .cohn import CohnElement, Word, _absorb, _Element, _expand, _junctions, _letters, _mono_text
 from .cohn import x_gen, x_word, y_gen
 
 __all__ = [
@@ -46,14 +46,6 @@ class RewriteStep(NamedTuple):
     coefficient: Scalar
     left: Word
     right: Word
-
-
-def _junctions(terms, n: int) -> List:
-    """The monomials x_{Ln} y_{nR} of a raw term map: X's last field and Y's first are n."""
-    b = _field_bits(n)
-    low = (1 << b) - 1
-    # (bits - 1) // b * b is the shift of a nonempty code's first field
-    return [(X, Y) for X, Y in terms if X & low == n and Y and Y >> (Y.bit_length() - 1) // b * b == n]
 
 
 def _reduce(terms: Dict, spec: FieldSpec, n: int, trace: Optional[List[RewriteStep]]) -> Dict:
@@ -105,7 +97,7 @@ class LeavittElement(_Element):
             X, Y = junctions[0]
             raise ValueError(
                 "representative is not in normal form: junction monomial "
-                + _mono_text(_letters(X, rep.n), _letters(Y, rep.n))
+                + _mono_text(X, Y, rep.n)
             )
         self.spec = rep.spec
         self.n = rep.n
