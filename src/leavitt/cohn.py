@@ -32,9 +32,9 @@ L(n), expanding each junction it meets by `_expand`, the one closed form.
 It raises TypeError for an operand that is not a CohnElement.
 
 Printing formats each coefficient object once per call (keyed by id, as
-equal values often share one object) and writes each distinct x-word and
-y-word once, growing its text from that of its longest prefix already
-written.
+equal values often share one object) and writes each distinct word once,
+x-words and y-words in one map, growing its text from that of its longest
+prefix already written.
 """
 
 from __future__ import annotations
@@ -314,48 +314,42 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int)
             acc[m] = get(m, 0) + ca * cb
 
 
-class _LetterEnds(dict):
-    """Letter -> the text that ends a block after it, such as ",12]", each made on first use."""
+class _WordTexts(dict):
+    """Word code -> its letters joined by commas, such as "1,12" ("" for the empty word), for one printing call.
 
-    def __missing__(self, letter: int) -> str:
-        text = self[letter] = "," + str(letter) + "]"
-        return text
-
-
-class _BlockTexts(dict):
-    """Word code -> its block text, such as "x[1,12]" ("" for the empty word), for one printing call.
-
-    Products extend words at their ends, so the words of one element share
-    prefixes.  A new word's text is written from its longest prefix already
-    written, one letter at a time, and every prefix passed is kept: one more
-    letter is the prefix's text without its "]", then the letter's end.
+    A one-letter word's code is its letter, so that entry is also the
+    letter's text.  Products extend words at their ends, so the words of one
+    element share prefixes: a new word's text is written from its longest
+    prefix already written, one letter at a time, and every prefix passed
+    is kept.
     """
 
-    __slots__ = ("head", "b", "ends")
+    __slots__ = ("b",)
 
-    def __init__(self, tag: str, b: int, ends: _LetterEnds):
+    def __init__(self, b: int):
         super().__init__({0: ""})
-        self.head, self.b, self.ends = tag + "[", b, ends
+        self.b = b
 
     def __missing__(self, word: int) -> str:
-        b, ends = self.b, self.ends
-        low, code, path = (1 << b) - 1, word, []
-        while code not in self:
+        b = self.b
+        low = (1 << b) - 1
+        if word <= low:  # one letter
+            text = self[word] = str(word)
+            return text
+        code, path = word, []
+        while code > low and code not in self:
             path.append(code)
             code >>= b
-        if not code:  # a one-letter word, whose code is its letter, opens the block
-            code = path.pop()
-            self[code] = self.head + ends[code][1:]
         text = self[code]
         for code in reversed(path):
-            text = self[code] = text[:-1] + ends[code & low]
+            text = self[code] = text + "," + self[code & low]
         return text
 
 
 def _mono_text(X: int, Y: int, n: int) -> str:
     """A monomial's text, such as x[1,2]*y[2], from its word codes over {1..n}; "1" if both are empty."""
-    b, ends = _field_bits(n), _LetterEnds()
-    blocks = [_BlockTexts(tag, b, ends)[code] for tag, code in (("x", X), ("y", Y)) if code]
+    words = _WordTexts(_field_bits(n))
+    blocks = [tag + "[" + words[code] + "]" for tag, code in (("x", X), ("y", Y)) if code]
     return "*".join(blocks) or "1"
 
 
@@ -583,8 +577,8 @@ class _Element:
         if not terms:
             return "0"
         rational = self.spec.characteristic == 0
-        b, ends = _field_bits(self.n), _LetterEnds()
-        forms, xtext, ytext, chunks = {}, _BlockTexts("x", b, ends), _BlockTexts("y", b, ends), []
+        b = _field_bits(self.n)
+        forms, words, chunks = {}, _WordTexts(b), []
         for (X, Y), c in sorted(terms.items(), key=_order(b)):
             form = forms.get(id(c))
             if form is None:
@@ -592,9 +586,14 @@ class _Element:
                 mag = str(-c if negative else c)
                 form = forms[id(c)] = (" - " if negative else " + ", mag, "" if mag == "1" else mag + "*")
             sep, mag, prefix = form
-            x, y = xtext[X], ytext[Y]
-            mono = x + "*" + y if x and y else x or y
-            chunks += (sep, prefix + mono if mono else mag)
+            if X and Y:
+                chunks += (sep, prefix, "x[", words[X], "]*y[", words[Y], "]")
+            elif X:
+                chunks += (sep, prefix, "x[", words[X], "]")
+            elif Y:
+                chunks += (sep, prefix, "y[", words[Y], "]")
+            else:
+                chunks += (sep, mag)
         chunks[0] = "-" if chunks[0] == " - " else ""
         return "".join(chunks)
 
