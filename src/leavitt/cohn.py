@@ -771,9 +771,17 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
             elif kind in ("x", "y"):
                 code = _code(_checked_letters(val, n), b)
                 if mono is not None:
-                    product: Dict = {}
-                    _accumulate(product, {mono: 1}, {(code, 0) if kind == "x" else (0, code): 1}, 1, 0, b)
-                    mono = next(iter(product), None)
+                    # a y-block, or an x-block after no y-word, concatenates: a shift and an
+                    # or, without the pair loop's per-call set-up; y_Y x_code telescopes there
+                    X, Y = mono
+                    if kind == "y":
+                        mono = (X, Y << len(val) * b | code)
+                    elif not Y:
+                        mono = (X << len(val) * b | code, 0)
+                    else:
+                        product: Dict = {}
+                        _accumulate(product, {mono: 1}, {(code, 0): 1}, 1, 0, b)
+                        mono = next(iter(product), None)
             else:
                 raise ValueError(f"unexpected {kind!r} in element text")
             idx += 1
