@@ -19,17 +19,19 @@ equality, printing) lives in `_Element`, which CohnElement shares with the
 elements of the Leavitt quotient.  Words leave the map as letter tuples
 through the `terms` view.
 
-A product sums the pair products into one integer map (over Q each factor is
-first scaled to integer numerators over one denominator).  Over Q it then
-builds one `Fraction` per distinct output value, which every term with that
-value shares.  A left term x_I y_J with J nonempty only scans the right
-terms whose K is empty or starts with the last letter of J, found by one
-lookup in an index of the right factor by first x-letter; a left term with
-J empty meets every right term.  A bracket adds both ab and -ba into the
-same map, so it makes one pass with no intermediate product.  Given the
-top letter n, the same loop multiplies normal forms in the Leavitt quotient
-L(n), expanding each junction it meets by `_expand`, the one closed form.
-It raises TypeError for an operand that is not a CohnElement.
+A product, or a sum of products such as those landing on one matrix
+position, sums the pair products into one integer map (`_sum_products`; over
+Q each factor is first scaled to integer numerators, and each product to one
+common denominator).  Over Q it then builds one `Fraction` per distinct
+output value, which every term with that value shares.  A left term x_I y_J
+with J nonempty only scans the right terms whose K is empty or starts with
+the last letter of J, found by one lookup in an index of the right factor by
+first x-letter; a left term with J empty meets every right term.  A bracket
+adds both ab and -ba into the same map, so it makes one pass with no
+intermediate product.  Given the top letter n, the same loop multiplies
+normal forms in the Leavitt quotient L(n), expanding each junction it meets
+by `_expand`, the one closed form.  It raises TypeError for an operand that
+is not a CohnElement.
 
 Printing formats each coefficient object once per call (keyed by id, as
 equal values often share one object) and writes each distinct word once,
@@ -522,33 +524,40 @@ class _Element:
         return out
 
     def _product(self, other: "_Element", commutator: bool, top: int) -> Dict:
-        """The raw map of ab, or of ab - ba when commutator is set, built from one integer accumulator.
+        """The raw map of ab, or of ab - ba when commutator is set; top as in `_sum_products`."""
+        a, b = self._terms, other._terms
+        triples = ((a, b, 1), (b, a, -1)) if commutator else ((a, b, 1),)
+        return _Element._sum_products(triples, self.spec.characteristic, self.n, top)
 
-        A top letter n multiplies normal forms in L(n); 0 gives the Cohn product.
-        Over Q each distinct output value is one Fraction, shared by every term that has it.
+    @staticmethod
+    def _sum_products(triples, p: int, n: int, top: int) -> Dict:
+        """The raw map of the sum of sign * a * b over triples (a, b, sign) of raw maps over
+        F_p (Q when p is 0) and {1..n}, in one integer accumulator; top n multiplies normal
+        forms in L(n), and 0 gives the Cohn product.  Over Q each distinct map is made
+        integral once, keyed by id (the caller keeps the maps alive, so no id is reused).
         """
-        p = self.spec.characteristic
-        a, b, den = self._terms, other._terms, 1
-        if p == 0:
-            # integer numerators, so that the pair loop only multiplies and
-            # adds ints; the common denominator is da * db for ab and for ba
-            da, a = _integral(a)
-            db, b = _integral(b)
-            den = da * db
         acc: Dict = {}
-        bits = _field_bits(self.n)
-        _accumulate(acc, a, b, 1, top, bits)
-        if commutator:
-            _accumulate(acc, b, a, -1, top, bits)
-        if p == 0:
-            value = {v: Fraction(v, den) for v in set(acc.values()) if v}
-            return {m: value[v] for m, v in acc.items() if v}
-        out = {}
-        for m, v in acc.items():
-            v %= p
-            if v:
-                out[m] = v
-        return out
+        bits = _field_bits(n)
+        if p:
+            for a, b, sign in triples:
+                _accumulate(acc, a, b, sign, top, bits)
+            out = {}
+            for m, v in acc.items():
+                v %= p
+                if v:
+                    out[m] = v
+            return out
+        # integer numerators over one common denominator, so the pair loop only multiplies and adds ints
+        integral, scaled, den = {}, [], 1
+        for a, b, sign in triples:
+            da, a = integral.get(id(a)) or integral.setdefault(id(a), _integral(a))
+            db, b = integral.get(id(b)) or integral.setdefault(id(b), _integral(b))
+            den = lcm(den, da * db)
+            scaled.append((a, b, sign, da * db))
+        for a, b, sign, dab in scaled:
+            _accumulate(acc, a, b, sign * (den // dab), top, bits)
+        value = {v: Fraction(v, den) for v in set(acc.values()) if v}
+        return {m: value[v] for m, v in acc.items() if v}
 
     def trace(self) -> Scalar:
         """Sum of the coefficients of the monomials x_I y_J with I = rev(J).

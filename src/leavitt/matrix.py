@@ -2,31 +2,22 @@
 
 The entry type only needs ring operations, `is_zero`, `zero_like`, and
 `trace`; both element classes in this package provide them, so the same
-matrix code serves the plain algebra and its quotient.
+matrix code serves the plain algebra and its quotient.  A sum of products
+(a product, a bracket, a witness's bracket sum) shares one accumulator per
+position: one `_sum_products` call sums every entry product landing there.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, repeat
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from .coeffs import FieldSpec, Scalar, _check_int, _check_shape
-from .cohn import CohnElement, parse_element
+from .cohn import CohnElement, _Element, parse_element
 from .leavitt import LeavittElement, normal_form
 
 __all__ = ["MatrixElement", "unit", "identity_matrix", "matrix_from_strings"]
-
-def _absorb(out: Dict, pos: Tuple[int, int], value) -> None:
-    """Add value into out[pos], keeping the map free of zeros."""
-    prev = out.get(pos)
-    if prev is not None:
-        value = prev + value
-    if value.is_zero():
-        out.pop(pos, None)
-    else:
-        out[pos] = value
-
 
 def _check_entry(e) -> None:
     if not isinstance(e, (CohnElement, LeavittElement)):
@@ -35,7 +26,7 @@ def _check_entry(e) -> None:
 
 def _square_size(rows: Sequence[Sequence]) -> int:
     d = len(rows)
-    if d < 1 or any(len(r) != d for r in rows):
+    if d < 1 or not all(map(d.__eq__, map(len, rows))):
         raise ValueError("entries must form a non-empty square array")
     return d
 
@@ -123,7 +114,12 @@ class MatrixElement:
         self._check(other)
         out = dict(self.entries)
         for pos, b in other.entries.items():
-            _absorb(out, pos, b)
+            a = out.get(pos)
+            value = b if a is None else a + b
+            if value.is_zero():
+                del out[pos]  # only a + b can vanish, and then pos is stored
+            else:
+                out[pos] = value
         return self._like(out)
 
     def __neg__(self) -> "MatrixElement":
@@ -148,14 +144,7 @@ class MatrixElement:
         if isinstance(other, (Scalar, int)):
             return self._map(lambda e: e * other)
         self._check(other)
-        rows: Dict[int, List] = {}
-        for (k, j), b in other.entries.items():
-            rows.setdefault(k, []).append((j, b))
-        out: Dict = {}
-        for (i, k), a in self.entries.items():
-            for j, b in rows.get(k, ()):
-                _absorb(out, (i, j), a * b)
-        return self._like(out)
+        return _combine(self._zero, self.d, ((self, other, 1),))
 
     def __rmul__(self, other):
         if isinstance(other, (Scalar, int)):
@@ -163,8 +152,9 @@ class MatrixElement:
         return NotImplemented
 
     def bracket(self, other: "MatrixElement") -> "MatrixElement":
+        """The commutator AB - BA, summed with no intermediate product."""
         self._check(other)
-        return self * other - other * self
+        return _combine(self._zero, self.d, ((self, other, 1), (other, self, -1)))
 
     def trace(self) -> Scalar:
         """Sum of the entry traces along the diagonal."""
@@ -203,6 +193,26 @@ class MatrixElement:
 
     def __repr__(self) -> str:
         return f"<MatrixElement d={self.d} n={self.n} over {self.spec}: {self}>"
+
+
+def _combine(zero, d: int, products) -> MatrixElement:
+    """The sum of sign * A * B over triples (A, B, sign) of d x d matrices over zero's algebra."""
+    cells: Dict = {}
+    for A, B, sign in products:
+        rows: Dict[int, List] = {}
+        for (k, j), e in B.entries.items():
+            rows.setdefault(k, []).append((j, e._terms))
+        for (i, k), e in A.entries.items():
+            for j, b in rows.get(k, ()):
+                cells.setdefault((i, j), []).append((e._terms, b, sign))
+    p, n = zero.spec.characteristic, zero.n
+    top = n if type(zero) is LeavittElement else 0
+    out = {}
+    for pos, triples in cells.items():
+        terms = _Element._sum_products(triples, p, n, top)
+        if terms:
+            out[pos] = zero._like(terms)
+    return MatrixElement._from_map(zero, d, out)
 
 
 def unit(element, i: int, j: int, d: int) -> MatrixElement:
@@ -255,6 +265,8 @@ def _from_strings(rows, n: int, spec: FieldSpec, parsed: Dict) -> MatrixElement:
     zero = LeavittElement.zero(n, spec)
     entries = {}
     for i, row in enumerate(rows):
+        if row.count("0") == d:  # a zero row, most rows of a unit matrix
+            continue
         for j, text in enumerate(row):
             if text == "0":
                 continue

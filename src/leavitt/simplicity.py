@@ -128,7 +128,7 @@ def build_witness(spec: FieldSpec, n: int, d: int) -> BracketWitness:
 def verify_witness(witness: BracketWitness) -> bool:
     """Evaluate the bracket-sum exactly and compare with the identity."""
     from .leavitt import LeavittElement
-    from .matrix import MatrixElement, identity_matrix
+    from .matrix import MatrixElement, _combine, identity_matrix
 
     if not isinstance(witness.spec, FieldSpec):
         raise ValueError(
@@ -136,15 +136,18 @@ def verify_witness(witness: BracketWitness) -> bool:
         )
     _check_shape(witness.n, witness.d)
     one = LeavittElement.one(witness.n, witness.spec)
-    total = MatrixElement.zero(one, witness.d)
+    target = identity_matrix(one, witness.d)
+    products = []
     for pair in witness.pairs:
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                 and all(isinstance(m, MatrixElement) for m in pair)):
             raise ValueError("malformed witness: each pair must be two MatrixElements")
         if any(m.d != witness.d or m.spec != witness.spec or m.n != witness.n for m in pair):
             raise ValueError("malformed witness: mixed dimensions or fields")
-        total = total + pair[0].bracket(pair[1])
-    return total == identity_matrix(one, witness.d)
+        for m in pair:
+            target._check(m)  # Leavitt entries, as the identity's are
+        products += ((pair[0], pair[1], 1), (pair[1], pair[0], -1))
+    return _combine(one.zero_like(), witness.d, products) == target
 
 
 def nontriviality_probe(spec: FieldSpec, n: int, d: int) -> bool:

@@ -11,6 +11,7 @@ from leavitt import (
     CohnElement,
     FieldSpec,
     LeavittElement,
+    MatrixElement,
     Monomial,
     Scalar,
     Word,
@@ -210,3 +211,60 @@ def test_leavitt_arithmetic_agrees_with_the_stabilization_oracle(pair):
         assert e.trace() == c.trace() * spec.from_int(n**t)
     if spec.divides(n - 1):
         assert nf.trace() == c.trace()
+
+
+@st.composite
+def matrix_operands(draw):
+    """Two d x d matrices over L(n), d in {1, 2, 3}, over Q or F3, whose
+    entries are zero or +-1 times one of a few drawn elements: left entries
+    x_{A n^r} y_W and right entries x_{rev W} y_{n^s B} (W empty or not
+    starting with n), so that entry products meet junctions, and entries
+    repeated with both signs, so that products cancel at one position."""
+    n = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(1, 3))
+    spec = FieldSpec(draw(st.sampled_from((0, 3))))
+    p = spec.characteristic
+    coeff = st.integers(1, p - 1) if p else st.builds(Fraction, st.sampled_from((-2, -1, 1, 3)), st.integers(1, 3))
+    short = st.lists(st.integers(1, n), max_size=1).map(tuple).filter(lambda w: w[-1:] != (n,))
+    middles = draw(st.lists(short, min_size=1, max_size=2))
+
+    def pool(left):
+        elements = []
+        for _ in range(draw(st.integers(1, 2))):
+            w, run = draw(st.sampled_from(middles)), (n,) * draw(st.integers(0, 2))
+            xs, ys = (draw(short) + run, w) if left else (w[::-1], run + draw(short)[::-1])
+            c = Scalar(spec, draw(coeff))
+            elements.append(LeavittElement(CohnElement(spec, n, {Monomial(Word(xs, n), Word(ys, n)): c})))
+        zero = LeavittElement.zero(n, spec)
+        return [zero] + elements + [-e for e in elements]
+
+    def matrix(left):
+        entries = pool(left)
+        return MatrixElement([[draw(st.sampled_from(entries)) for _ in range(d)] for _ in range(d)])
+
+    return matrix(True), matrix(False)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(matrix_operands())
+def test_matrix_products_agree_with_the_stabilization_oracle(pair):
+    a, b = pair
+    n, d, p = a.n, a.d, a.spec.characteristic
+
+    def terms(m, i, j):
+        return letter_terms(m.entry(i, j)._terms, n)
+
+    def product(x, y, i, j, scale=1, out=None):
+        # sum over k of x[i, k] y[k, j], each entry product made by the oracle
+        out = {} if out is None else out
+        for k in range(d):
+            out = add_terms(out, stab_mul(terms(x, i, k), terms(y, k, j), n, p), p, scale)
+        return out
+
+    for got, want in ((a * b, lambda i, j: product(a, b, i, j)),
+                      (b * a, lambda i, j: product(b, a, i, j)),
+                      (a.bracket(b), lambda i, j: product(b, a, i, j, -1, product(a, b, i, j)))):
+        assert all(not e.is_zero() and LeavittElement(e.rep) == e for e in got.entries.values())
+        for i in range(d):
+            for j in range(d):
+                assert stab_equal(terms(got, i, j), want(i, j), n, p)

@@ -7,6 +7,7 @@ from leavitt import (
     BracketWitness,
     FieldSpec,
     LeavittElement,
+    MatrixElement,
     Reason,
     Scalar,
     build_witness,
@@ -116,8 +117,8 @@ def test_characteristic_zero_always_has_a_witness():
 
 
 def test_empty_witness_fails_verification():
-    w = BracketWitness(Q, 2, 2, ())
-    assert not verify_witness(w)
+    for spec, d in ((Q, 2), (Q, 1), (F5, 3)):
+        assert not verify_witness(BracketWitness(spec, 2, d, ()))
 
 
 def test_tampered_witness_fails_verification():
@@ -130,8 +131,49 @@ def test_mixed_dimension_witness_rejected():
     w = build_witness(Q, 2, 2)
     other = build_witness(Q, 2, 3)
     broken = BracketWitness(Q, 2, 2, w.pairs + other.pairs[:1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^malformed witness: mixed dimensions or fields$"):
         verify_witness(broken)
+
+
+def _cancelling_witness(spec, y1_coeffs=(2, 3, 6), repeats=0):
+    """Pairs over L(2) with d = 2 whose brackets sum to I only through cancellation
+    at one position: on each diagonal slot, [y1/c, x1] for c in y1_coeffs (so
+    denominators 2, 3 and 6) and [y2, x2], whose sum is (1 - x1 y1) + (1 - x2 y2)
+    = 1 as x2 y2 = 1 - x1 y1; then [e12 x1, e21 y1] and [e21 y1, e12 x1], which
+    cancel at both diagonal positions, and repeats copies of [e11 y1, e11 x1]."""
+    n, d = 2, 2
+    x1, x2 = LeavittElement.x_gen(1, n, spec), LeavittElement.x_gen(2, n, spec)
+    y1, y2 = LeavittElement.y_gen(1, n, spec), LeavittElement.y_gen(2, n, spec)
+    pairs = []
+    for j in (1, 2):
+        for c in y1_coeffs:
+            pairs.append((unit(y1.scale(spec.from_int(c).inv()), j, j, d), unit(x1, j, j, d)))
+        pairs.append((unit(y2, j, j, d), unit(x2, j, j, d)))
+    pairs += [(unit(x1, 1, 2, d), unit(y1, 2, 1, d)), (unit(y1, 2, 1, d), unit(x1, 1, 2, d))]
+    pairs += [(unit(y1, 1, 1, d), unit(x1, 1, 1, d))] * repeats
+    return BracketWitness(spec, n, d, tuple(pairs))
+
+
+def test_brackets_that_reach_the_identity_only_across_pairs_verify():
+    assert verify_witness(_cancelling_witness(Q))
+    assert not verify_witness(_cancelling_witness(Q, (2, 3, 5)))
+    for left, right in _cancelling_witness(Q).pairs:
+        assert left.bracket(right) != identity_matrix(LeavittElement.one(2, Q), 2)
+
+
+def test_brackets_whose_accumulated_integers_exceed_p_verify():
+    # 1/2, 1/3, 1/6 are 3, 2, 1 in F_5; five more copies of [y1, x1] add 5(1 - x1 y1) = 0
+    assert verify_witness(_cancelling_witness(F5, repeats=5))
+    assert not verify_witness(_cancelling_witness(F5, repeats=4))
+    assert not verify_witness(_cancelling_witness(F5, (2, 3, 3), repeats=5))
+
+
+def test_pairs_over_another_entry_algebra_are_rejected():
+    good = _cancelling_witness(Q).pairs
+    cohn = MatrixElement([[LeavittElement.y_gen(1, 2, Q).rep, LeavittElement.zero(2, Q).rep]] * 2)
+    for pairs in ((good[0], (cohn, cohn)), ((good[0][0], cohn),)):
+        with pytest.raises(ValueError, match="^mismatched field, alphabet or entry algebra$"):
+            verify_witness(BracketWitness(Q, 2, 2, pairs))
 
 
 def test_witness_document_round_trip():
