@@ -280,6 +280,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         _emit({"ok": False, "reason": str(exc)}, pretty)
         return 1
+    except MemoryError:
+        _emit({"ok": False, "reason": "out of memory"}, pretty)
+        return 1
     _emit({"ok": True, "result": result}, pretty)
     return 0
 

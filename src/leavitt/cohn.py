@@ -515,13 +515,22 @@ class _Element:
         return NotImplemented
 
     def __pow__(self: _E, exponent: int) -> _E:
+        """self ** k for k >= 1 by repeated squaring, in at most 2 log2(k) products.
+
+        The running square multiplies on the left, so k = 3 makes
+        (self*self)*self, the left-to-right product.
+        """
         _check_int(exponent, "exponent")
         if exponent < 1:
             raise ValueError(f"exponent must be at least 1, got {exponent}")
-        out = self
-        for _ in range(exponent - 1):
-            out = out * self
-        return out
+        square, out = self, None
+        while True:
+            if exponent & 1:
+                out = square if out is None else square * out
+            exponent >>= 1
+            if not exponent:
+                return out
+            square = square * square
 
     def _product(self, other: "_Element", commutator: bool, top: int) -> Dict:
         """The raw map of ab, or of ab - ba when commutator is set; top as in `_sum_products`."""

@@ -1,6 +1,7 @@
 """Shared test utilities: random generators, the brute-force product and
-normal-form oracles, a reference printer, the isomorphism L(n) -> M_n(L(n)),
-and the translation between raw term maps and letter tuples."""
+normal-form oracles, a reference printer, the isomorphisms L(n) -> M_n(L(n))
+and M_d(L(n)) -> M_{d+n-1}(L(n)), and the translation between raw term maps
+and letter tuples."""
 
 from __future__ import annotations
 
@@ -191,6 +192,45 @@ def phi_inverse(m: MatrixElement) -> LeavittElement:
             x, y = LeavittElement.x_gen(i, n, spec), LeavittElement.y_gen(j, n, spec)
             total = total + x * m.entry(i - 1, j - 1) * y
     return total
+
+
+def entry_map_mul(a: dict, b: dict, zero) -> dict:
+    """The product of two matrices of any compatible shapes, held as maps
+    {(i, j): entry} of their nonzero entries, by the schoolbook sum; zero is
+    the entry algebra's zero, and a position whose sum cancels is left out."""
+    by_row: dict = {}
+    for (k, j), e in b.items():
+        by_row.setdefault(k, []).append((j, e))
+    out: dict = {}
+    for (i, k), e in a.items():
+        for j, f in by_row.get(k, ()):
+            out[(i, j)] = out.get((i, j), zero) + e * f
+    return {pos: e for pos, e in out.items() if not e.is_zero()}
+
+
+def transport_factors(n: int, spec, d: int):
+    """The entry maps of P = I_{d-1} + (y_1, ..., y_n)^T, (d+n-1) x d, and
+    Q = I_{d-1} + (x_1, ..., x_n), d x (d+n-1), over L(n).
+
+    Q P = I_d because sum_i x_i y_i = 1, and P Q = I_{d+n-1} because y_i x_j
+    is 1 when i = j and 0 otherwise."""
+    one = LeavittElement.one(n, spec)
+    p = {(i, i): one for i in range(d - 1)}
+    q = dict(p)
+    for i in range(1, n + 1):
+        p[(d + i - 2, d - 1)] = LeavittElement.y_gen(i, n, spec)
+        q[(d - 1, d + i - 2)] = LeavittElement.x_gen(i, n, spec)
+    return p, q
+
+
+def transport(a: MatrixElement) -> MatrixElement:
+    """The ring isomorphism M_d(L(n)) -> M_{d+n-1}(L(n)), A -> P A Q, with P
+    and Q as in `transport_factors`; it is multiplicative because Q P = I_d."""
+    n, spec, d = a.n, a.spec, a.d
+    zero = LeavittElement.zero(n, spec)
+    p, q = transport_factors(n, spec, d)
+    entries = entry_map_mul(entry_map_mul(p, a.entries, zero), q, zero)
+    return MatrixElement._from_map(zero, d + n - 1, entries)
 
 
 def worklist_normal_form(

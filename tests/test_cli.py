@@ -79,6 +79,19 @@ def test_out_of_range_index_is_a_domain_error(capsys):
     assert "outside" in doc["reason"]
 
 
+def test_running_out_of_memory_is_a_reported_domain_error(capsys, monkeypatch):
+    import leavitt.cli
+
+    def exhaust(args):
+        raise MemoryError
+
+    monkeypatch.setattr(leavitt.cli, "_cmd_nf", exhaust)
+    code = main(["nf", "x1^1000000", "--n", "2"])
+    out = capsys.readouterr().out
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"ok": False, "reason": "out of memory"}
+
+
 def test_witness_with_verification(capsys):
     code, doc = run(capsys, "witness", "--n", "3", "--d", "2", "--char", "2", "--verify")
     assert code == 0

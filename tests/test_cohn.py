@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +20,7 @@ from leavitt import (
     y_gen,
     y_word,
 )
+from leavitt.cohn import _Element
 
 from helpers import letter_terms, oracle_mul, random_cohn, random_element, random_monomial, random_scalar
 
@@ -179,6 +181,28 @@ def test_power():
     assert a ** 3 == x_word(Word((2, 2, 2), 3), Q)
     with pytest.raises(ValueError):
         a ** 0
+
+
+def test_power_makes_about_two_products_per_bit_of_the_exponent(monkeypatch):
+    calls = []
+    sum_products = _Element._sum_products
+
+    def counting(*args):
+        calls.append(1)
+        return sum_products(*args)
+
+    monkeypatch.setattr(_Element, "_sum_products", staticmethod(counting))
+    assert x_gen(1, 2, Q) ** 1000 == x_word(Word((1,) * 1000, 2), Q)
+    assert 0 < len(calls) <= 2 * 9  # 2 * floor(log2(1000))
+
+
+@pytest.mark.parametrize("kind", [CohnElement, LeavittElement], ids=lambda k: k.__name__)
+def test_huge_powers_of_one_and_zero_finish_at_once(kind):
+    one, zero = kind.one(2, Q), kind.zero(2, Q)
+    start = time.perf_counter()
+    assert one ** 10**18 == one
+    assert zero ** 10**18 == zero
+    assert time.perf_counter() - start < 0.5
 
 
 # --- bracket --------------------------------------------------------------

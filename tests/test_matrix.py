@@ -3,17 +3,21 @@ import random
 import pytest
 
 from leavitt import (
+    BracketWitness,
     CohnElement,
     FieldSpec,
     LeavittElement,
     MatrixElement,
     Scalar,
+    build_witness,
     identity_matrix,
+    is_simple,
     matrix_from_strings,
     unit,
+    verify_witness,
 )
 
-from helpers import phi, phi_inverse, random_cohn
+from helpers import entry_map_mul, phi, phi_inverse, random_cohn, transport, transport_factors
 from leavitt.leavitt import normal_form
 
 Q = FieldSpec(0)
@@ -315,3 +319,50 @@ def test_phi_is_a_ring_isomorphism_onto_n_by_n_matrices(spec, n):
         if spec.divides(n - 1):
             for c in (a, b, a * b):
                 assert phi(c).trace() == c.trace()
+
+
+# --- M_d(L(n)) -> M_{d+n-1}(L(n)) ------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F3], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_transport_factors_are_inverse_on_both_sides(spec, n):
+    one = LeavittElement.one(n, spec)
+    zero = one.zero_like()
+    for d in range(1, 5):
+        p, q = transport_factors(n, spec, d)
+        assert entry_map_mul(q, p, zero) == {(i, i): one for i in range(d)}
+        assert entry_map_mul(p, q, zero) == {(i, i): one for i in range(d + n - 1)}
+
+
+@pytest.mark.parametrize("spec", [Q, F2, F3], ids=str)
+@pytest.mark.parametrize("n", [2, 3])
+def test_transport_is_a_ring_isomorphism_onto_larger_matrices(spec, n):
+    rng = random.Random(2000 * n + spec.characteristic)
+    for d in (1, 2, 3):
+        one = LeavittElement.one(n, spec)
+        assert transport(identity_matrix(one, d)) == identity_matrix(one, d + n - 1)
+        for _ in range(4):
+            a, b = random_matrix(d, n, spec, rng), random_matrix(d, n, spec, rng)
+            assert transport(a * b) == transport(a) * transport(b)
+            assert transport(a + b) == transport(a) + transport(b)
+            assert transport(a.bracket(b)) == transport(a).bracket(transport(b))
+            if spec.divides(n - 1):
+                assert transport(a).trace() == a.trace()
+
+
+GRID = [(FieldSpec(p), n, d) for p in (0, 2, 3, 5, 7, 11) for n in range(2, 9) for d in range(1, 7)]
+LARGE = [(FieldSpec(p), n, d) for p, n in ((0, 2), (0, 3), (2, 3)) for d in (64, 256)]
+
+
+def test_transported_witnesses_verify_one_size_up():
+    # M_d(L(n)) and M_{d+n-1}(L(n)) are isomorphic, so the verdicts agree, as
+    # they do at n*d through phi, and every witness is carried to a witness
+    for spec, n, d in GRID + LARGE:
+        verdict = is_simple(spec, n, d).simple
+        assert is_simple(spec, n, d + n - 1).simple == is_simple(spec, n, n * d).simple == verdict
+        if verdict:
+            continue
+        w = build_witness(spec, n, d)
+        pairs = tuple((transport(a), transport(b)) for a, b in w.pairs)
+        assert verify_witness(BracketWitness(spec, n, d + n - 1, pairs))
