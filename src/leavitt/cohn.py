@@ -17,7 +17,9 @@ ring operations build results through the trusted `_raw`.  What does not
 depend on the product (sums, scaling, powers, the trace functional,
 equality, printing) lives in `_Element`, which CohnElement shares with the
 elements of the Leavitt quotient.  Words leave the map as letter tuples
-through the `terms` view.
+through the `terms` view.  Text is read in one pass: one loop over one
+pattern's `findall` matches builds each term's word codes by shifts and ors
+and its coefficient from an integer numerator and denominator.
 
 A product, or a sum of products such as those landing on one matrix
 position, sums the pair products into one integer map (`_sum_products`; over
@@ -70,15 +72,10 @@ def _check_alphabet(n: int) -> None:
 
 def _checked_letters(letters, n: int) -> Tuple[int, ...]:
     """The letters as a tuple, each checked to be an int in {1..n}."""
-    # The exact type tests are fast paths, taken once per parsed block and
-    # per letter; _check_alphabet and _check_int decide every other case.
-    if type(n) is not int or n < 2:
-        _check_alphabet(n)
+    _check_alphabet(n)
     letters = tuple(letters)
     for i in letters:
-        if type(i) is not int:
-            _check_int(i, "letter")
-        if not 1 <= i <= n:
+        if not 1 <= _check_int(i, "letter") <= n:
             raise ValueError(f"letter {i} outside alphabet [1, {n}]")
     return letters
 
@@ -710,102 +707,100 @@ def ideal_generator(n: int, spec: FieldSpec) -> CohnElement:
 # "x[1,2]*y[2,1]" and bare coefficients ("1/2" over Q, residues over F_p).
 # parse_element reads that form back; it also accepts any product of
 # x/y blocks and scalar factors, multiplying them out in the algebra.
+# Each match has six groups: a block's tag and letters, an integer and the
+# denominator of a fraction, an operator, and an unreadable character.
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<block>[xy]\[[0-9,\s]*\])|(?P<num>\d+)|(?P<sym>[+\-*/]))"
-)
+_ELEMENT_RE = re.compile(r"([xy])\[([0-9,\s]*)\]|(\d+)(?:\s*/\s*(\d+))?|([-+*/])|(\S)")
 
 
-def _tokenize_element(text: str):
-    pos, tokens = 0, []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValueError(f"bad element text at position {pos}: {text[pos:]!r}")
-            break
-        if m.lastgroup == "block":
-            blk = m.group("block")
-            inner = blk[2:-1].strip()
-            letters = tuple(int(t) for t in inner.split(",")) if inner else ()
-            if not letters:
-                raise ValueError(f"empty generator word in {blk!r}")
-            tokens.append((blk[0], letters))
-        elif m.lastgroup == "num":
-            tokens.append(("int", int(m.group("num"))))
-        else:
-            tokens.append((m.group("sym"), None))
-        pos = m.end()
-    return tokens
+def _word(tag: str, letters: str) -> List[int]:
+    """The letters of a block, not yet checked against the alphabet."""
+    try:
+        return [*map(int, letters.split(","))]
+    except ValueError:
+        kind = "bad" if letters.strip() else "empty"
+        raise ValueError(f"{kind} generator word in {tag + '[' + letters + ']'!r}") from None
+
+
+def _text_error(text: str) -> Optional[ValueError]:
+    """The error of the first unreadable character, block or integer in text, if any."""
+    end = 0
+    for m in _ELEMENT_RE.finditer(text):
+        if m[6]:
+            return ValueError(f"bad element text at position {end}: {text[end:]!r}")
+        try:
+            if m[1]:
+                _word(m[1], m[2])
+            elif m[3]:
+                int(m[3]), int(m[4] or 0)  # an integer too long to convert
+        except ValueError as exc:
+            return exc
+        end = m.end()
+    return None
 
 
 def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
-    """Read an element back from its canonical textual form."""
-    tokens = _tokenize_element(text)
+    """Read an element back from its canonical textual form, or any sum of signed
+    products of x/y blocks, integers and fractions a/b."""
+    tokens = _ELEMENT_RE.findall(text)
     if not tokens:
         raise ValueError("empty element text")
-    _check_alphabet(n)
-    b = _field_bits(n)
-    p = spec.characteristic
-    one = _raw_one(spec)
-    out: Dict = {}
-    idx = 0
-    first = True
-    while idx < len(tokens):
-        sign = one
-        kind, _ = tokens[idx]
-        if kind in "+-":
-            if kind == "-":
-                sign = p - 1 if p else -one
-            idx += 1
-        elif not first:
-            raise ValueError(f"expected '+' or '-' between terms, got {kind!r}")
-        first = False
-        # a term is one monomial, None once its blocks multiply to zero, times a coefficient
-        mono, coeff = (0, 0), sign
-        expect_factor = True
-        while idx < len(tokens):
-            kind, val = tokens[idx]
-            if kind in "+-":
-                break
-            if kind == "*":
-                if expect_factor:
-                    raise ValueError("misplaced '*' in element text")
-                idx += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise ValueError(f"missing '*' before {kind!r} factor")
-            if kind == "int":
-                c = val % p if p else val
-                if idx + 2 < len(tokens) and tokens[idx + 1][0] == "/" and tokens[idx + 2][0] == "int":
-                    den = tokens[idx + 2][1]
-                    idx += 2
-                    if p:
-                        c = (spec.from_int(val) / spec.from_int(den)).value
-                    else:
-                        c = Fraction(val, den)
-                coeff = coeff * c % p if p else coeff * c
-            elif kind in ("x", "y"):
-                code = _code(_checked_letters(val, n), b)
+    try:
+        _check_alphabet(n)
+        b = _field_bits(n)
+        p = spec.characteristic
+        out: Dict = {}
+        # a term: one monomial (None once its blocks multiply to zero) times num / den; want: a factor is due
+        mono, num, den, want = (0, 0), -1 if tokens[0][4] == "-" else 1, 1, True
+        start = 1 if tokens[0][4] in ("+", "-") else 0  # a leading sign is the first term's
+        tokens.append(("", "", "", "", "+", ""))  # a closing '+' ends the last term
+        for tag, letters, a, c, op, bad in tokens[start:]:
+            if tag:
+                if not want:
+                    raise ValueError(f"missing '*' before {tag!r} factor")
+                word = _word(tag, letters)
+                if min(word) < 1 or max(word) > n:
+                    _checked_letters(word, n)  # raises, naming the first letter outside
                 if mono is not None:
+                    code = 0
+                    for i in word:
+                        code = code << b | i
                     # a y-block, or an x-block after no y-word, concatenates: a shift and an
                     # or, without the pair loop's per-call set-up; y_Y x_code telescopes there
                     X, Y = mono
-                    if kind == "y":
-                        mono = (X, Y << len(val) * b | code)
+                    if tag == "y":
+                        mono = (X, Y << len(word) * b | code)
                     elif not Y:
-                        mono = (X << len(val) * b | code, 0)
+                        mono = (X << len(word) * b | code, 0)
                     else:
                         product: Dict = {}
                         _accumulate(product, {mono: 1}, {(code, 0): 1}, 1, 0, b)
                         mono = next(iter(product), None)
-            else:
-                raise ValueError(f"unexpected {kind!r} in element text")
-            idx += 1
-            expect_factor = False
-        if expect_factor:
-            raise ValueError("dangling operator in element text")
-        if mono is not None and coeff:
-            _absorb(out, mono, coeff, p)
+                want = False
+            elif a:
+                if not want:
+                    raise ValueError("missing '*' before 'int' factor")
+                num *= int(a)
+                if c:
+                    den *= int(c)  # the earlier factors are nonzero, so den is zero when this one is
+                    if not (den % p if p else den):
+                        raise ZeroDivisionError(f"division by zero in {spec}" if p else f"Fraction({int(a)}, 0)")
+                want = False
+            elif op == "*":
+                if want:
+                    raise ValueError("misplaced '*' in element text")
+                want = True
+            elif op == "/":
+                raise ValueError("unexpected '/' in element text")
+            elif op:
+                if want:
+                    raise ValueError("dangling operator in element text")
+                if mono is not None and (num % p if p else num):
+                    _absorb(out, mono, num * pow(den, -1, p) % p if p else Fraction(num, den), p)
+                mono, num, den, want = (0, 0), -1 if op == "-" else 1, 1, True
+            else:  # reported with its position below
+                raise ValueError(bad)
+    except Exception as exc:
+        # text that does not split into tokens is reported first, wherever the read stopped
+        raise (_text_error(text) or exc) from None
     return CohnElement._raw(spec, n, out)

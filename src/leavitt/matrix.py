@@ -248,11 +248,11 @@ def matrix_from_strings(rows: Sequence[Sequence[str]], n: int, spec: FieldSpec) 
 
     Each distinct text other than "0" is parsed once and brought to normal form.
     """
-    return _from_strings(rows, n, spec, {})
+    return _from_strings(rows, LeavittElement.zero(n, spec), {})
 
 
-def _from_strings(rows, n: int, spec: FieldSpec, parsed: Dict) -> MatrixElement:
-    """matrix_from_strings, reading texts through parsed, one document's text -> entry map."""
+def _from_strings(rows, zero: LeavittElement, parsed: Dict) -> MatrixElement:
+    """matrix_from_strings in zero's algebra, reading texts through parsed, one document's text -> entry map."""
     # The whole array is checked before any entry is parsed: the types of
     # its rows, then of its cells, each in one C-level pass, then its shape.
     if not (
@@ -262,7 +262,7 @@ def _from_strings(rows, n: int, spec: FieldSpec, parsed: Dict) -> MatrixElement:
     ):
         raise ValueError(_NOT_ROWS)
     d = _square_size(rows)
-    zero = LeavittElement.zero(n, spec)
+    n, spec = zero.n, zero.spec
     entries = {}
     for i, row in enumerate(rows):
         if row.count("0") == d:  # a zero row, most rows of a unit matrix

@@ -137,15 +137,17 @@ def verify_witness(witness: BracketWitness) -> bool:
     _check_shape(witness.n, witness.d)
     one = LeavittElement.one(witness.n, witness.spec)
     target = identity_matrix(one, witness.d)
-    products = []
+    d, zero, products = witness.d, target._zero, []
     for pair in witness.pairs:
         if not (isinstance(pair, (tuple, list)) and len(pair) == 2
                 and all(isinstance(m, MatrixElement) for m in pair)):
             raise ValueError("malformed witness: each pair must be two MatrixElements")
-        if any(m.d != witness.d or m.spec != witness.spec or m.n != witness.n for m in pair):
-            raise ValueError("malformed witness: mixed dimensions or fields")
-        for m in pair:
-            target._check(m)  # Leavitt entries, as the identity's are
+        # an equal zero element means the same entry algebra, field and alphabet
+        if not all(m.d == d and zero == m._zero for m in pair):
+            if any(m.d != d or m.spec != witness.spec or m.n != witness.n for m in pair):
+                raise ValueError("malformed witness: mixed dimensions or fields")
+            for m in pair:
+                target._check(m)  # Leavitt entries, as the identity's are
         products += ((pair[0], pair[1], 1), (pair[1], pair[0], -1))
     return _combine(one.zero_like(), witness.d, products) == target
 
@@ -186,6 +188,7 @@ def witness_from_doc(doc: Dict) -> BracketWitness:
 
     A document of the wrong shape or field types raises ValueError.
     """
+    from .leavitt import LeavittElement
     from .matrix import _from_strings
 
     if not isinstance(doc, dict):
@@ -203,10 +206,12 @@ def witness_from_doc(doc: Dict) -> BracketWitness:
     n, d = doc["n"], doc["d"]
     _check_shape(n, d)
     pairs = []
-    parsed: Dict = {}  # each distinct entry text is parsed once per document
+    # each distinct entry text is parsed once per document, and every matrix shares one zero
+    parsed: Dict = {}
+    zero = LeavittElement.zero(n, spec)
     for left_rows, right_rows in doc_pairs:
-        left = _from_strings(left_rows, n, spec, parsed)
-        right = _from_strings(right_rows, n, spec, parsed)
+        left = _from_strings(left_rows, zero, parsed)
+        right = _from_strings(right_rows, zero, parsed)
         if left.d != d or right.d != d:
             raise ValueError("malformed witness document: wrong matrix dimension")
         pairs.append((left, right))

@@ -1,13 +1,14 @@
 """Shared test utilities: random generators, the brute-force product and
 normal-form oracles, a reference printer, the isomorphisms L(n) -> M_n(L(n))
-and M_d(L(n)) -> M_{d+n-1}(L(n)), and the translation between raw term maps
-and letter tuples."""
+and M_d(L(n)) -> M_{d+n-1}(L(n)), the translation between raw term maps
+and letter tuples, and a reference reader of element text."""
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from leavitt import (
     CohnElement,
@@ -18,6 +19,15 @@ from leavitt import (
     RewriteStep,
     Scalar,
     Word,
+)
+from leavitt.cohn import (
+    _absorb,
+    _accumulate,
+    _check_alphabet,
+    _checked_letters,
+    _code,
+    _field_bits,
+    _raw_one,
 )
 
 
@@ -350,3 +360,107 @@ def stab_mul(a: dict, b: dict, n: int, p: int) -> dict:
         for ls, d in by_x.get(ys[::-1], ()):
             _add_into(out, (xs, ls), c * d, p)
     return out
+
+
+# The reader of element text as the package had it before it read `findall`
+# matches in one loop: a token list, one `match` per token, then the term
+# loop.  The bodies are unchanged; only parse_element is renamed.
+
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<block>[xy]\[[0-9,\s]*\])|(?P<num>\d+)|(?P<sym>[+\-*/]))"
+)
+
+
+def _tokenize_element(text: str):
+    pos, tokens = 0, []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise ValueError(f"bad element text at position {pos}: {text[pos:]!r}")
+            break
+        if m.lastgroup == "block":
+            blk = m.group("block")
+            inner = blk[2:-1].strip()
+            letters = tuple(int(t) for t in inner.split(",")) if inner else ()
+            if not letters:
+                raise ValueError(f"empty generator word in {blk!r}")
+            tokens.append((blk[0], letters))
+        elif m.lastgroup == "num":
+            tokens.append(("int", int(m.group("num"))))
+        else:
+            tokens.append((m.group("sym"), None))
+        pos = m.end()
+    return tokens
+
+
+def reference_parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
+    """Read an element back from its canonical textual form."""
+    tokens = _tokenize_element(text)
+    if not tokens:
+        raise ValueError("empty element text")
+    _check_alphabet(n)
+    b = _field_bits(n)
+    p = spec.characteristic
+    one = _raw_one(spec)
+    out: Dict = {}
+    idx = 0
+    first = True
+    while idx < len(tokens):
+        sign = one
+        kind, _ = tokens[idx]
+        if kind in "+-":
+            if kind == "-":
+                sign = p - 1 if p else -one
+            idx += 1
+        elif not first:
+            raise ValueError(f"expected '+' or '-' between terms, got {kind!r}")
+        first = False
+        # a term is one monomial, None once its blocks multiply to zero, times a coefficient
+        mono, coeff = (0, 0), sign
+        expect_factor = True
+        while idx < len(tokens):
+            kind, val = tokens[idx]
+            if kind in "+-":
+                break
+            if kind == "*":
+                if expect_factor:
+                    raise ValueError("misplaced '*' in element text")
+                idx += 1
+                expect_factor = True
+                continue
+            if not expect_factor:
+                raise ValueError(f"missing '*' before {kind!r} factor")
+            if kind == "int":
+                c = val % p if p else val
+                if idx + 2 < len(tokens) and tokens[idx + 1][0] == "/" and tokens[idx + 2][0] == "int":
+                    den = tokens[idx + 2][1]
+                    idx += 2
+                    if p:
+                        c = (spec.from_int(val) / spec.from_int(den)).value
+                    else:
+                        c = Fraction(val, den)
+                coeff = coeff * c % p if p else coeff * c
+            elif kind in ("x", "y"):
+                code = _code(_checked_letters(val, n), b)
+                if mono is not None:
+                    # a y-block, or an x-block after no y-word, concatenates: a shift and an
+                    # or, without the pair loop's per-call set-up; y_Y x_code telescopes there
+                    X, Y = mono
+                    if kind == "y":
+                        mono = (X, Y << len(val) * b | code)
+                    elif not Y:
+                        mono = (X << len(val) * b | code, 0)
+                    else:
+                        product: Dict = {}
+                        _accumulate(product, {mono: 1}, {(code, 0): 1}, 1, 0, b)
+                        mono = next(iter(product), None)
+            else:
+                raise ValueError(f"unexpected {kind!r} in element text")
+            idx += 1
+            expect_factor = False
+        if expect_factor:
+            raise ValueError("dangling operator in element text")
+        if mono is not None and coeff:
+            _absorb(out, mono, coeff, p)
+    return CohnElement._raw(spec, n, out)

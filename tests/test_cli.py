@@ -115,6 +115,14 @@ def test_taud_command(tmp_path, capsys):
     assert doc["result"] == "0 mod 2"  # 2 * 1 = 0 in characteristic 2
 
 
+def test_taud_names_a_malformed_block(tmp_path, capsys):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps([["x[1,,2]"]]))
+    code, doc = run(capsys, "taud", str(path), "--n", "3", "--char", "2")
+    assert code == 1
+    assert doc == {"ok": False, "reason": "bad generator word in 'x[1,,2]'"}
+
+
 def test_taud_missing_file(tmp_path, capsys):
     code, doc = run(capsys, "taud", str(tmp_path / "nope.json"), "--n", "3", "--char", "2")
     assert code == 1

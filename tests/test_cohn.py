@@ -514,6 +514,18 @@ def test_parse_element_rejects_garbage():
         ("x[1]*", 2, 0, ValueError, "dangling operator in element text"),
         ("x[1] + ", 2, 3, ValueError, "dangling operator in element text"),
         ("x[1]", 1, 0, ValueError, "alphabet size must be at least 2, got 1"),
+        ("x[1] q", 2, 0, ValueError, "bad element text at position 4: ' q'"),
+        ("x[1,,2]", 2, 0, ValueError, "bad generator word in 'x[1,,2]'"),
+        ("y[1 2]", 2, 0, ValueError, "bad generator word in 'y[1 2]'"),
+        ("2/", 2, 0, ValueError, "unexpected '/' in element text"),
+        ("x[1]/2", 2, 0, ValueError, "unexpected '/' in element text"),
+        ("1/2/3", 2, 0, ValueError, "unexpected '/' in element text"),
+        ("/2*x[1]", 2, 0, ValueError, "unexpected '/' in element text"),
+        ("007/0*x[1]", 2, 0, ZeroDivisionError, "Fraction(7, 0)"),
+        # text that does not split into tokens is reported before any other error
+        ("* x[1] q", 2, 0, ValueError, "bad element text at position 6: ' q'"),
+        ("x[3] x[,]", 2, 0, ValueError, "bad generator word in 'x[,]'"),
+        ("x[1] + x[]", 1, 0, ValueError, "empty generator word in 'x[]'"),
     ],
 )
 def test_parse_element_error_messages(text, n, p, error, message):

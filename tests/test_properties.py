@@ -24,6 +24,8 @@ from helpers import (
     add_terms,
     coded_terms,
     letter_terms,
+    random_element,
+    reference_parse_element,
     reference_str,
     stab_equal,
     stab_expand,
@@ -302,3 +304,68 @@ def test_powers_agree_with_the_left_to_right_product_and_the_oracle(a):
             want = stab_mul(letter_terms(previous._terms, n), ta, n, p)
             assert stab_equal(letter_terms(power._terms, n), want, n, p)
         previous = power
+
+
+_SPACE = st.sampled_from(("", "", " ", "  ", "\t"))
+
+
+@st.composite
+def element_texts(draw):
+    """Element text over Q, F2, F5 or F7 with n in {2, 3, 17}, with its n and field.
+
+    The text is either the printed form of a random element, or a sum of
+    products written out of order: blocks of either tag in any order (so y
+    before x telescopes), integers, fractions a/b and 0 factors anywhere,
+    whitespace inside blocks and around operators, and an optional leading
+    sign.  Half of the texts then have one character deleted, inserted or
+    replaced, which also puts letters outside the alphabet.
+    """
+    n = draw(st.sampled_from((2, 3, 17)))
+    spec = FieldSpec(draw(st.sampled_from((0, 2, 5, 7))))
+    if draw(st.booleans()):
+        text = str(random_element(n, spec, 3, 4, draw(st.integers(0, 2**32))))
+    else:
+        letter = st.builds(lambda ws, i: f"{ws}{i}{ws}", _SPACE, st.integers(1, n))
+        block = st.builds(lambda tag, letters: f"{tag}[{','.join(letters)}]",
+                          st.sampled_from("xy"), st.lists(letter, min_size=1, max_size=3))
+        number = st.integers(0, 12).map(str)
+        denominator = st.integers(0, 12).map(lambda k: str((k + 1) % 13))  # 0 now and then
+        fraction = st.builds(lambda a, ws, b: f"{a}{ws}/{ws}{b}", number, _SPACE, denominator)
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            factors = draw(st.lists(block, min_size=1, max_size=3))
+            for scalar in draw(st.lists(number | fraction, max_size=2)):
+                factors.insert(draw(st.integers(0, len(factors))), scalar)
+            terms.append(f"{draw(_SPACE)}*{draw(_SPACE)}".join(factors))
+        text = draw(st.sampled_from(("", "-", "+", "- "))) + terms[0]
+        for term in terms[1:]:
+            text += f"{draw(_SPACE)}{draw(st.sampled_from('+-'))}{draw(_SPACE)}{term}"
+    edit = draw(st.sampled_from(("keep", "keep", "keep", "delete", "insert", "replace")))
+    if edit != "keep" and text:
+        i = draw(st.integers(0, len(text) - 1))
+        c = draw(st.sampled_from("xy[],0123456789+-*/ q"))
+        text = {"delete": text[:i] + text[i + 1:], "insert": text[:i] + c + text[i:],
+                "replace": text[:i] + c + text[i + 1:]}[edit]
+    return text, n, spec
+
+
+def _read(reader, text, n, spec):
+    """The raw terms the reader gives, with each value's type, or the exception's type and message."""
+    try:
+        e = reader(text, n, spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(m, type(v), v) for m, v in e._terms.items()]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(element_texts())
+def test_element_reader_agrees_with_the_token_list_reader(case):
+    got, want = _read(parse_element, *case), _read(reference_parse_element, *case)
+    if want[:1] == (ValueError,) and want[1].startswith("invalid literal"):
+        # a block that is not a comma-separated list of letters is named
+        assert got[0] is ValueError and got[1].startswith("bad generator word in ")
+    elif want == (ValueError, "missing '*' before '/' factor"):
+        assert got == (ValueError, "unexpected '/' in element text")
+    else:
+        assert got == want

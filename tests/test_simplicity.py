@@ -183,6 +183,7 @@ def test_witness_document_round_trip():
         rebuilt = witness_from_doc(json.loads(json.dumps(doc)))
         assert verify_witness(rebuilt)
         assert witness_to_doc(rebuilt) == doc
+        assert len({id(m._zero) for pair in rebuilt.pairs for m in pair}) == 1  # one zero per document
 
 
 # The acceptance grid and the dimension sweep at n = 3 that the benchmark runs.
