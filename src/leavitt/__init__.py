@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 # Each submodule and the public names it defines, in `__all__` order.
 _EXPORTS = {
-    "coeffs": ("FieldSpec", "Scalar", "parse_scalar"),
+    "coeffs": ("FieldSpec", "Scalar"),
     "cohn": (
         "Word",
         "Monomial",

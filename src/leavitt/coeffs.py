@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict
 
-__all__ = ["FieldSpec", "Scalar", "parse_scalar"]
+__all__ = ["FieldSpec", "Scalar"]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -219,26 +219,3 @@ class Scalar:
     def __repr__(self) -> str:
         return f"Scalar({self.spec}, {self.value})"
 
-
-def parse_scalar(text: str, spec: FieldSpec) -> Scalar:
-    """Parse "a/b" or "a" over Q, and "r mod p" or a bare residue over F_p."""
-    text = text.strip()
-    if spec.characteristic == 0:
-        try:
-            return Scalar(spec, Fraction(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad rational scalar {text!r}: {exc}") from None
-    parts = text.split("mod")
-    if len(parts) == 2:
-        modulus = int(parts[1])
-        if modulus != spec.characteristic:
-            raise ValueError(
-                f"scalar modulus {modulus} does not match field {spec}"
-            )
-        text = parts[0].strip()
-    elif len(parts) != 1:
-        raise ValueError(f"bad residue scalar {text!r}")
-    try:
-        return Scalar(spec, int(text))
-    except ValueError:
-        raise ValueError(f"bad residue scalar {text!r}") from None

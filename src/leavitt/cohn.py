@@ -19,7 +19,9 @@ equality, printing) lives in `_Element`, which CohnElement shares with the
 elements of the Leavitt quotient.  Words leave the map as letter tuples
 through the `terms` view.  Text is read in one pass: one loop over one
 pattern's `findall` matches builds each term's word codes by shifts and ors
-and its coefficient from an integer numerator and denominator.
+and its coefficient from an integer numerator and denominator.  That
+pattern's tokens, `_TOKENS`, are also those of the expression parser, so
+the printed form reads back through either.
 
 A product, or a sum of products such as those landing on one matrix
 position, sums the pair products into one integer map (`_sum_products`; over
@@ -44,6 +46,7 @@ prefix already written.
 from __future__ import annotations
 
 import re
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
@@ -477,11 +480,7 @@ class _Element:
 
     def __sub__(self: _E, other: _E) -> _E:
         self._check(other)
-        p = self.spec.characteristic
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            _absorb(out, m, p - c if p else -c, p)
-        return self._like(out)
+        return self + -other
 
     def scale(self: _E, s: Scalar) -> _E:
         if not isinstance(s, Scalar):
@@ -707,10 +706,21 @@ def ideal_generator(n: int, spec: FieldSpec) -> CohnElement:
 # "x[1,2]*y[2,1]" and bare coefficients ("1/2" over Q, residues over F_p).
 # parse_element reads that form back; it also accepts any product of
 # x/y blocks and scalar factors, multiplying them out in the algebra.
-# Each match has six groups: a block's tag and letters, an integer and the
-# denominator of a fraction, an operator, and an unreadable character.
+# _TOKENS, shared with the expression parser, has five groups: a block's tag
+# and letters, an integer and the denominator of a fraction, and an
+# operator; digits are ASCII.  parse_element adds an unreadable character.
 
-_ELEMENT_RE = re.compile(r"([xy])\[([0-9,\s]*)\]|(\d+)(?:\s*/\s*(\d+))?|([-+*/])|(\S)")
+_TOKENS = r"([xy])\[([0-9,\s]*)\]|([0-9]+)(?:\s*/\s*([0-9]+))?|([-+*/])"
+_ELEMENT_RE = re.compile(_TOKENS + r"|(\S)")
+
+
+def _int(digits: str) -> int:
+    """The value of a string of ASCII digits; ValueError naming the interpreter's limit on their number."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = f"the limit of {sys.get_int_max_str_digits()} digits"
+        raise ValueError(f"integer literal of {len(digits)} digits exceeds {limit}") from None
 
 
 def _word(tag: str, letters: str) -> List[int]:
@@ -732,7 +742,7 @@ def _text_error(text: str) -> Optional[ValueError]:
             if m[1]:
                 _word(m[1], m[2])
             elif m[3]:
-                int(m[3]), int(m[4] or 0)  # an integer too long to convert
+                _int(m[3]), _int(m[4] or "0")  # an integer too long to convert
         except ValueError as exc:
             return exc
         end = m.end()

@@ -127,15 +127,7 @@ class MatrixElement:
 
     def __sub__(self, other: "MatrixElement") -> "MatrixElement":
         self._check(other)
-        out = dict(self.entries)
-        for pos, b in other.entries.items():
-            a = out.get(pos)
-            value = -b if a is None else a - b
-            if value.is_zero():
-                del out[pos]  # only a - b can vanish, and then pos is stored
-            else:
-                out[pos] = value
-        return self._like(out)
+        return self + -other
 
     def scale(self, s: Scalar) -> "MatrixElement":
         return self._map(lambda e: e * s)

@@ -2,19 +2,24 @@
 
 Grammar (whitespace between tokens is ignored):
 
-    expr   := term (('+' | '-') term)*
+    expr   := ('+' | '-')? term (('+' | '-') term)*
     term   := factor ('*' factor)*
     factor := atom ('^' posint)?
-    atom   := int | 'x' index | 'y' index | '(' expr ')' | '[' expr ',' expr ']'
+    atom   := int | int '/' int | ('x' | 'y') index | ('x' | 'y') '[' index (',' index)* ']'
+            | '(' expr ')' | '[' expr ',' expr ']'
 
-Sums and products are left associative.  Generator indices are read
-greedily ("x12" is the generator with index 12); whether an index fits the
-configured alphabet is checked at evaluation time, not during parsing.
+It contains the printed form of elements ("-1/2*x[1,2]*y[2] + 1"), whose
+tokens it shares with `cohn.parse_element`: a block's tag is directly
+followed by '[', "a/b" is one atom, and "-t" is read as "0 - t".  Digits
+are ASCII.  Sums and products are left associative.  Generator indices are
+read greedily ("x12" is the generator with index 12); whether an index fits
+the configured alphabet is checked at evaluation time, not during parsing.
 Juxtaposition is not multiplication: "x1 y2" is a syntax error.
 """
 
 from __future__ import annotations
 
+import re
 from typing import List, NamedTuple, Tuple, Union
 
 from .coeffs import FieldSpec, _check_shape
@@ -23,7 +28,9 @@ __all__ = [
     "ParseError",
     "Expression",
     "IntLit",
+    "RatLit",
     "Gen",
+    "Block",
     "BinOp",
     "Power",
     "LieBracket",
@@ -53,9 +60,19 @@ class IntLit(NamedTuple):
     value: int
 
 
+class RatLit(NamedTuple):
+    num: int
+    den: int
+
+
 class Gen(NamedTuple):
     kind: str  # "x" or "y"
     index: int
+
+
+class Block(NamedTuple):
+    kind: str  # "x" or "y"
+    letters: Tuple[int, ...]  # nonempty
 
 
 class BinOp(NamedTuple):
@@ -74,38 +91,35 @@ class LieBracket(NamedTuple):
     right: "Expression"
 
 
-Expression = Union[IntLit, Gen, BinOp, Power, LieBracket]
+Expression = Union[IntLit, RatLit, Gen, Block, BinOp, Power, LieBracket]
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
+    """The tokens of text as (text, node, position); the node is None for an operator or a bracket."""
+    # the element text's tokens come first, so that x[ opens a block; the
+    # tokens are imported here, as evaluate imports its algebra
+    from .cohn import _TOKENS, _int, _word
+
     tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            tokens.append(("int", int(text[start:pos]), start))
-            continue
-        if ch in "xy":
-            start = pos
-            pos += 1
-            if pos >= len(text) or not text[pos].isdigit():
-                raise ParseError(f"generator '{ch}' needs an index", start)
-            digits = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            tokens.append(("gen", (ch, int(text[digits:pos])), start))
-            continue
-        if ch in "+-*^()[],":
-            tokens.append((ch, None, pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", pos)
+    for m in re.finditer(_TOKENS + r"|([xy])([0-9]*)|([\^()\[\],])|(\S)", text):
+        tag, letters, num, den, op, gen, index, punct, bad = m.groups()
+        pos = m.start()
+        try:
+            if tag:
+                node = Block(tag, tuple(_word(tag, letters)))
+            elif num:
+                node = RatLit(_int(num), _int(den)) if den else IntLit(_int(num))
+            elif gen:
+                if not index:
+                    raise ParseError(f"generator {gen!r} needs an index", pos)
+                node = Gen(gen, _int(index))
+            elif bad:
+                raise ParseError(f"unexpected character {bad!r}", pos)
+            else:
+                node = None
+            tokens.append((m[0], node, pos))
+        except ValueError as exc:  # a malformed block, or an integer too long to read
+            raise ParseError(str(exc), pos) from None
     return tokens
 
 
@@ -148,7 +162,8 @@ class _Parser:
         return node
 
     def expr(self) -> Tuple[Expression, int]:
-        node, depth = self.term()
+        tok = self._peek()  # a leading sign reads +t as 0 + t and -t as 0 - t
+        node, depth = (IntLit(0), 1) if tok is not None and tok[0] in ("+", "-") else self.term()
         while (tok := self._peek()) is not None and tok[0] in ("+", "-"):
             self._next()
             right, right_depth = self.term()
@@ -167,10 +182,10 @@ class _Parser:
         node, depth = self.atom()
         if (tok := self._peek()) is not None and tok[0] == "^":
             self._next()
-            exp_tok = self._next("int")
-            if exp_tok[1] < 1:
+            exp_tok = self._next()
+            if type(exp_tok[1]) is not IntLit or exp_tok[1].value < 1:
                 raise ParseError("exponent must be a positive integer", exp_tok[2])
-            node, depth = Power(node, exp_tok[1]), self._deeper(tok, depth)
+            node, depth = Power(node, exp_tok[1].value), self._deeper(tok, depth)
         return node, depth
 
     def atom(self) -> Tuple[Expression, int]:
@@ -179,11 +194,8 @@ class _Parser:
             raise ParseError("unexpected end of input, expected an atom", len(self.text))
         self.pos += 1
         kind = tok[0]
-        if kind == "int":
-            return IntLit(tok[1]), 1
-        if kind == "gen":
-            letter, index = tok[1]
-            return Gen(letter, index), 1
+        if tok[1] is not None:
+            return tok[1], 1
         if kind not in ("(", "["):
             raise ParseError(f"expected an atom, got {kind!r}", tok[2])
         self.nesting += 1
@@ -214,8 +226,12 @@ _ATOM_PREC = 4
 def _print(node: Expression, min_prec: int) -> str:
     if isinstance(node, IntLit):
         return str(node.value)
+    if isinstance(node, RatLit):
+        return f"{node.num}/{node.den}"
     if isinstance(node, Gen):
         return f"{node.kind}{node.index}"
+    if isinstance(node, Block):
+        return f"{node.kind}[{','.join(map(str, node.letters))}]"
     if isinstance(node, LieBracket):
         return f"[{_print(node.left, 0)}, {_print(node.right, 0)}]"
     if isinstance(node, Power):
@@ -277,26 +293,27 @@ def evaluate(node: Expression, cfg: SessionConfig):
     spec, n = cfg.spec, cfg.n
     # Each mode imports only the algebra it evaluates in, so that a CLI
     # process loads no module its command does not run.
+    from .cohn import Word, x_word, y_word
+
     if cfg.mode == "cohn":
-        from .cohn import CohnElement, x_gen, y_gen
-
-        one = CohnElement.one(n, spec)
-        gen = {"x": x_gen, "y": y_gen}
+        from .cohn import CohnElement as Element
     else:
-        from .leavitt import LeavittElement
-
-        one = LeavittElement.one(n, spec)
-        gen = {"x": LeavittElement.x_gen, "y": LeavittElement.y_gen}
+        from .leavitt import LeavittElement as Element
+    one = Element.one(n, spec)
+    words = {"x": x_word, "y": y_word}
 
     def walk(node: Expression):
         if isinstance(node, IntLit):
             return one * node.value
-        if isinstance(node, Gen):
-            if not 1 <= node.index <= n:
-                raise ValueError(
-                    f"generator index {node.index} outside [1, {n}]"
-                )
-            return gen[node.kind](node.index, n, spec)
+        if isinstance(node, RatLit):
+            return one * (spec.from_int(node.num) / spec.from_int(node.den))
+        if isinstance(node, (Gen, Block)):
+            letters = (node.index,) if isinstance(node, Gen) else node.letters
+            for i in letters:
+                if not 1 <= i <= n:
+                    raise ValueError(f"generator index {i} outside [1, {n}]")
+            # a word of one tag has no junction, so it is also a Leavitt normal form
+            return one._like(words[node.kind](Word(letters, n), spec)._terms)
         if isinstance(node, BinOp):
             left = walk(node.left)
             right = walk(node.right)

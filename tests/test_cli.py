@@ -123,6 +123,42 @@ def test_taud_names_a_malformed_block(tmp_path, capsys):
     assert doc == {"ok": False, "reason": "bad generator word in 'x[1,,2]'"}
 
 
+def test_nf_reads_the_printed_form(capsys):
+    # blocks, fractions and a leading sign: the text nf prints is also text it reads
+    assert run(capsys, "nf", "x[1,2]*y[2]", "--n", "2") == run(capsys, "nf", "x1*x2*y2", "--n", "2")
+    assert run(capsys, "nf", "1/2*x1", "--n", "2") == (0, {"ok": True, "result": "1/2*x[1]"})
+    assert run(capsys, "nf", "1/2*x1", "--n", "2", "--char", "5") == (0, {"ok": True, "result": "3*x[1]"})
+    text = "-1 + x[1]*y[1]"
+    assert run(capsys, "nf", text, "--n", "2", "--mode", "cohn") == (0, {"ok": True, "result": text})
+    # a one-term output starts with '-' and has no space, so it follows '--'
+    assert run(capsys, "nf", "--n", "2", "--mode", "cohn", "--", "-x[1]") == (0, {"ok": True, "result": "-x[1]"})
+
+
+@pytest.mark.parametrize(
+    "expr, code, reason",
+    [
+        ("x1 y2", 2, "unexpected trailing 'y2' (at position 3)"),
+        ("x1^4/2", 2, "exponent must be a positive integer (at position 3)"),
+        ("x[1,,2]", 2, "bad generator word in 'x[1,,2]' (at position 0)"),
+        ("x\u0661", 2, "generator 'x' needs an index (at position 0)"),
+        ("\u0663*x1", 2, "unexpected character '\u0663' (at position 0)"),
+        ("x[3]*y[1]", 1, "generator index 3 outside [1, 2]"),
+        ("1/2*x1", 1, "division by zero in F2"),
+    ],
+)
+def test_nf_refuses_text_outside_the_grammar(capsys, expr, code, reason):
+    assert run(capsys, "nf", expr, "--n", "2", "--char", "2") == (code, {"ok": False, "reason": reason})
+
+
+def test_integer_literals_beyond_the_digit_limit_are_reported(tmp_path, capsys):
+    digits = "1" * (sys.get_int_max_str_digits() + 700)
+    reason = f"integer literal of {len(digits)} digits exceeds the limit of {sys.get_int_max_str_digits()} digits"
+    assert run(capsys, "nf", f"{digits}*x1", "--n", "2") == (2, {"ok": False, "reason": reason + " (at position 0)"})
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps([[f"{digits}*x[1]"]]))
+    assert run(capsys, "taud", str(path), "--n", "3", "--char", "2") == (1, {"ok": False, "reason": reason})
+
+
 def test_taud_missing_file(tmp_path, capsys):
     code, doc = run(capsys, "taud", str(tmp_path / "nope.json"), "--n", "3", "--char", "2")
     assert code == 1

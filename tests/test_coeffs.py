@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import leavitt
-from leavitt import FieldSpec, Scalar, cli, coeffs, parse_scalar
+from leavitt import FieldSpec, Scalar, cli, coeffs
 from leavitt.coeffs import MAX_CHARACTERISTIC
 
 from helpers import random_scalar
@@ -224,28 +224,6 @@ def test_scalar_text_forms():
     assert str(s(Q, Fraction(5, 6))) == "5/6"
     assert str(s(Q, 7)) == "7"
     assert str(s(F5, 3)) == "3 mod 5"
-
-
-def test_parse_scalar_round_trip():
-    for spec, texts in (
-        (Q, ["5/6", "-2/3", "7", "0", "-11"]),
-        (F5, ["3 mod 5", "0 mod 5"]),
-    ):
-        for text in texts:
-            assert str(parse_scalar(text, spec)) == text
-    assert parse_scalar("3", F5) == s(F5, 3)
-    assert parse_scalar("-1", F5) == s(F5, 4)
-
-
-def test_parse_scalar_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_scalar("1/0", Q)
-    with pytest.raises(ValueError):
-        parse_scalar("x", Q)
-    with pytest.raises(ValueError):
-        parse_scalar("3 mod 7", F5)
-    with pytest.raises(ValueError):
-        parse_scalar("3 mod 5 mod 5", F5)
 
 
 def test_primality_is_exact_up_to_the_limit():

@@ -526,6 +526,10 @@ def test_parse_element_rejects_garbage():
         ("* x[1] q", 2, 0, ValueError, "bad element text at position 6: ' q'"),
         ("x[3] x[,]", 2, 0, ValueError, "bad generator word in 'x[,]'"),
         ("x[1] + x[]", 1, 0, ValueError, "empty generator word in 'x[]'"),
+        # digits are ASCII, in coefficients as in letters
+        ("\u0663*x[1]", 2, 0, ValueError, "bad element text at position 0: '\u0663*x[1]'"),
+        ("x[1]*\u0663", 2, 0, ValueError, "bad element text at position 5: '\u0663'"),
+        ("x[\u0661]", 2, 0, ValueError, "bad element text at position 0: 'x[\u0661]'"),
     ],
 )
 def test_parse_element_error_messages(text, n, p, error, message):

@@ -141,8 +141,8 @@ def test_the_package_reads_through_to_the_submodule(monkeypatch):
     # Nothing is cached in the package, so a rebinding in the submodule
     # shows through it and no public name enters its namespace.
     stand_in = object()
-    monkeypatch.setattr(leavitt.coeffs, "parse_scalar", stand_in)
-    assert leavitt.parse_scalar is stand_in
+    monkeypatch.setattr(leavitt.coeffs, "Scalar", stand_in)
+    assert leavitt.Scalar is stand_in
     assert not set(vars(leavitt)) & set(leavitt.__all__)
 
 

@@ -16,7 +16,7 @@ from leavitt import (
     parse,
     print_expression,
 )
-from leavitt.parser import MAX_DEPTH, BinOp, Gen, IntLit, LieBracket, Power
+from leavitt.parser import MAX_DEPTH, BinOp, Block, Gen, IntLit, LieBracket, Power, RatLit
 
 Q = FieldSpec(0)
 
@@ -53,6 +53,46 @@ def test_greedy_generator_indices():
     assert parse("y2") == Gen("y", 2)
 
 
+@pytest.mark.parametrize(
+    "text, tree",
+    [
+        ("x[1,2]", Block("x", (1, 2))),
+        ("y[ 12 ,3 ]", Block("y", (12, 3))),
+        ("1/2", RatLit(1, 2)),
+        ("1 / 0", RatLit(1, 0)),  # parses; dividing by zero is an evaluation error
+        ("-x1", BinOp("-", IntLit(0), Gen("x", 1))),
+        ("+x1", BinOp("+", IntLit(0), Gen("x", 1))),
+        ("x1*1/2", BinOp("*", Gen("x", 1), RatLit(1, 2))),
+        ("x[1]^2", Power(Block("x", (1,)), 2)),
+        ("[-x1, y[2]]", LieBracket(BinOp("-", IntLit(0), Gen("x", 1)), Block("y", (2,)))),
+        ("-1/2*x[1,2]*y[2] + 1", BinOp("+", BinOp("-", IntLit(0), BinOp(
+            "*", BinOp("*", RatLit(1, 2), Block("x", (1, 2))), Block("y", (2,)))), IntLit(1))),
+    ],
+)
+def test_parse_reads_the_printed_form(text, tree):
+    assert parse(text) == tree
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("x1^4/2", 3),  # an exponent is a positive integer literal
+        ("x[1,,2]", 0),
+        ("x[]", 0),
+        ("x [1]", 0),  # a block's tag is directly followed by '['
+        ("x1/2", 2),
+        ("2*-x1", 2),  # a sign leads an expression, not a factor
+        ("x\u0661", 0),  # digits are ASCII
+        ("\u0663", 0),
+        ("x[\u0661]", 0),
+    ],
+)
+def test_text_outside_the_grammar_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         parse("x1 + @")
@@ -73,8 +113,13 @@ def test_parse_errors_carry_positions():
 
 def _random_tree(rng, depth):
     if depth == 0:
-        if rng.random() < 0.4:
+        leaf = rng.random()
+        if leaf < 0.3:
             return IntLit(rng.randint(0, 9))
+        if leaf < 0.4:
+            return RatLit(rng.randint(0, 9), rng.randint(1, 4))
+        if leaf < 0.55:
+            return Block(rng.choice("xy"), tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3))))
         return Gen(rng.choice("xy"), rng.randint(1, 3))
     kind = rng.randrange(4)
     if kind == 0:
@@ -161,9 +206,23 @@ def test_matrix_mode_embeds_diagonally():
 
 def test_out_of_range_index_is_an_evaluation_error():
     cfg = SessionConfig(n=2, mode="cohn")
-    tree = parse("x12")  # parses fine
-    with pytest.raises(ValueError):
-        evaluate(tree, cfg)
+    for text, index in (("x12", 12), ("y[1,3,2]", 3), ("x[0]", 0)):
+        tree = parse(text)  # parses fine
+        with pytest.raises(ValueError, match=rf"^generator index {index} outside \[1, 2\]$"):
+            evaluate(tree, cfg)
+
+
+def test_evaluate_blocks_and_fractions():
+    for p in (0, 2, 5):
+        for mode in ("cohn", "leavitt"):
+            cfg = SessionConfig(n=3, characteristic=p, mode=mode)
+            assert evaluate(parse("x[1,3]*y[2]"), cfg) == evaluate(parse("x1*x3*y2"), cfg)
+            assert evaluate(parse("-y[3,3]"), cfg) == evaluate(parse("0 - y3^2"), cfg)
+            if p != 2:
+                assert evaluate(parse("2*1/2"), cfg) == evaluate(parse("1"), cfg)
+    for p, text in ((0, "3/0*x1"), (5, "3/10*x1")):  # b = 0 in the field
+        with pytest.raises(ZeroDivisionError, match=f"^division by zero in {FieldSpec(p)}$"):
+            evaluate(parse(text), SessionConfig(characteristic=p))
 
 
 def test_session_config_validation():
@@ -187,7 +246,7 @@ def test_session_config_rejects_non_integer_sizes():
 def test_expression_nodes_are_immutable_values():
     def nodes():
         x1, one = Gen("x", 1), IntLit(1)
-        return [one, x1, BinOp("+", one, x1), Power(x1, 3), LieBracket(x1, one)]
+        return [one, x1, RatLit(1, 2), Block("x", (1, 2)), BinOp("+", one, x1), Power(x1, 3), LieBracket(x1, one)]
 
     for i, (a, b) in enumerate(zip(nodes(), nodes())):
         assert a == b and hash(a) == hash(b)

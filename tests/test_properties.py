@@ -1,5 +1,8 @@
 """Property tests, generated by hypothesis with a fixed derandomized seed."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -14,9 +17,13 @@ from leavitt import (
     MatrixElement,
     Monomial,
     Scalar,
+    SessionConfig,
     Word,
+    cli,
+    evaluate,
     normal_form,
     normal_form_with_trace,
+    parse,
     parse_element,
 )
 
@@ -369,3 +376,34 @@ def test_element_reader_agrees_with_the_token_list_reader(case):
         assert got == (ValueError, "unexpected '/' in element text")
     else:
         assert got == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(element_texts())
+def test_the_expression_parser_reads_what_the_element_reader_accepts(case):
+    text, n, spec = case
+    try:
+        want = parse_element(text, n, spec)
+    except (ValueError, ZeroDivisionError):
+        return
+    assert evaluate(parse(text), SessionConfig(n=n, characteristic=spec.characteristic, mode="cohn")) == want
+
+
+def _nf(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["nf", *argv])
+    return code, json.loads(out.getvalue())
+
+
+@settings(derandomize=True, max_examples=90, deadline=None, database=None)
+@given(st.sampled_from((2, 3, 17)), st.sampled_from((0, 2, 5, 7)), st.sampled_from(("cohn", "leavitt", "matrix")),
+       st.integers(0, 2**32))
+def test_nf_reads_back_what_it_prints(n, p, mode, seed):
+    # a few terms, far below the 200 a sum may have before it nests too deeply
+    text = str(random_element(n, FieldSpec(p), 3, 6, seed))
+    flags = ["--n", str(n), "--char", str(p), "--mode", mode, "--d", "2" if mode == "matrix" else "1", "--"]
+    code, printed = _nf(*flags, text)
+    assert code == 0
+    result = printed["result"]
+    assert _nf(*flags, result[0][0] if mode == "matrix" else result) == (0, printed)
