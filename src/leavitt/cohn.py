@@ -212,6 +212,9 @@ def _absorb(out: Dict, m, c, p: int) -> None:
 
 def _integral(terms: Dict):
     """Rational coefficients as integer numerators over their lcm denominator d: (d, {m: c * d})."""
+    if len(terms) == 1:  # most products in a witness's bracket sum are of one-term entries
+        (m, c), = terms.items()
+        return c.denominator, {m: c.numerator}
     d = lcm(*[c.denominator for c in terms.values()])
     return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
@@ -273,9 +276,9 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int)
     """
     get = acc.get
     low = (1 << b) - 1
-    rows = []  # each right term with the bit lengths of K and L, rounded up to whole letters
+    rows = []  # each right term with the bit lengths of K and L rounded up to whole letters, as by _span
     for (K, L), cb in right.items():
-        rows.append((K, L, cb, _span(K, b), _span(L, b)))
+        rows.append((K, L, cb, -(-K.bit_length() // b) * b, -(-L.bit_length() // b) * b))
     index = None
     if len(left) > 1:
         groups: Dict = {}
@@ -297,7 +300,7 @@ def _accumulate(acc: Dict, left: Dict, right: Dict, sign: int, top: int, b: int)
                 acc[m] = get(m, 0) + ca * cb
             continue
         R = _rev(J, b)
-        sj = _span(J, b)
+        sj = -(-J.bit_length() // b) * b
         XR = X ^ R
         for K, L, cb, sk, sl in rows if index is None else index.get(J & low, empty):
             if sj <= sk:

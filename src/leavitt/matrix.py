@@ -175,7 +175,7 @@ class MatrixElement:
     def _strings(self, texts: Dict) -> List[List[str]]:
         """to_strings, printing each entry object once through texts, an id(entry) -> text
         map whose entries the caller keeps alive, so that no id is reused."""
-        rows = [["0"] * self.d for _ in range(self.d)]
+        rows = [*map(list.copy, repeat(["0"] * self.d, self.d))]
         for (i, j), e in self.entries.items():
             rows[i][j] = texts.get(id(e)) or texts.setdefault(id(e), str(e))
         return rows
@@ -245,26 +245,34 @@ def matrix_from_strings(rows: Sequence[Sequence[str]], n: int, spec: FieldSpec) 
 
 def _from_strings(rows, zero: LeavittElement, parsed: Dict) -> MatrixElement:
     """matrix_from_strings in zero's algebra, reading texts through parsed, one document's text -> entry map."""
-    # The whole array is checked before any entry is parsed: the types of
-    # its rows, then of its cells, each in one C-level pass, then its shape.
-    if not (
-        isinstance(rows, (list, tuple))
-        and all(map(isinstance, rows, repeat((list, tuple))))
-        and all(map(isinstance, chain.from_iterable(rows), repeat(str)))
-    ):
-        raise ValueError(_NOT_ROWS)
-    d = _square_size(rows)
-    n, spec = zero.n, zero.spec
-    entries = {}
-    for i, row in enumerate(rows):
-        if row.count("0") == d:  # a zero row, most rows of a unit matrix
-            continue
-        for j, text in enumerate(row):
-            if text == "0":
-                continue
-            e = parsed.get(text)
-            if e is None:
-                e = parsed[text] = normal_form(parse_element(text, n, spec))
-            if not e.is_zero():
-                entries[(i, j)] = e
-    return MatrixElement._from_map(zero, d, entries)
+    # One pass checks the whole array before any entry is parsed.  A row's d cells joined by commas
+    # equal d "0"s so joined exactly when each cell is the str "0" (a zero row, most rows of a unit
+    # matrix), and join raises TypeError on a cell that is not a str.
+    d = len(rows) if isinstance(rows, (list, tuple)) else 0
+    zeros, todo = ("0," * d)[:-1], []
+    if d:
+        for i, row in enumerate(rows):
+            if not (isinstance(row, (list, tuple)) and len(row) == d):
+                break
+            try:
+                if ",".join(row) != zeros:
+                    todo.append((i, row))
+            except TypeError:
+                break
+        else:
+            n, spec, entries = zero.n, zero.spec, {}
+            for i, row in todo:
+                for j, text in enumerate(row):
+                    if text == "0":
+                        continue
+                    e = parsed.get(text)
+                    if e is None:
+                        e = parsed[text] = normal_form(parse_element(text, n, spec))
+                    if not e.is_zero():
+                        entries[(i, j)] = e
+            return MatrixElement._from_map(zero, d, entries)
+    # on a fault, the full checks name it: the types of the rows, then of the cells, then the shape
+    if isinstance(rows, (list, tuple)) and all(map(isinstance, rows, repeat((list, tuple)))):
+        if all(map(isinstance, chain.from_iterable(rows), repeat(str))):
+            _square_size(rows)
+    raise ValueError(_NOT_ROWS)

@@ -101,7 +101,7 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
     from .cohn import _TOKENS, _int, _word
 
     tokens = []
-    for m in re.finditer(_TOKENS + r"|([xy])([0-9]*)|([\^()\[\],])|(\S)", text):
+    for m in re.finditer(_TOKENS + r"|([xy])(\[[^\]]*\]?|[0-9]*)|([\^()\[\],])|(\S)", text):
         tag, letters, num, den, op, gen, index, punct, bad = m.groups()
         pos = m.start()
         try:
@@ -110,6 +110,8 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             elif num:
                 node = RatLit(_int(num), _int(den)) if den else IntLit(_int(num))
             elif gen:
+                if index[:1] == "[":  # a block that _TOKENS cannot read, up to its first ']'
+                    raise ParseError(f"bad generator word in {gen + index!r}", pos)
                 if not index:
                     raise ParseError(f"generator {gen!r} needs an index", pos)
                 node = Gen(gen, _int(index))

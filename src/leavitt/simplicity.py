@@ -139,16 +139,16 @@ def verify_witness(witness: BracketWitness) -> bool:
     target = identity_matrix(one, witness.d)
     d, zero, products = witness.d, target._zero, []
     for pair in witness.pairs:
-        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
-                and all(isinstance(m, MatrixElement) for m in pair)):
+        a, b = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
+        if not (isinstance(a, MatrixElement) and isinstance(b, MatrixElement)):
             raise ValueError("malformed witness: each pair must be two MatrixElements")
         # an equal zero element means the same entry algebra, field and alphabet
-        if not all(m.d == d and zero == m._zero for m in pair):
+        if not (a.d == d and b.d == d and zero == a._zero and zero == b._zero):
             if any(m.d != d or m.spec != witness.spec or m.n != witness.n for m in pair):
                 raise ValueError("malformed witness: mixed dimensions or fields")
-            for m in pair:
-                target._check(m)  # Leavitt entries, as the identity's are
-        products += ((pair[0], pair[1], 1), (pair[1], pair[0], -1))
+            target._check(a)  # Leavitt entries, as the identity's are
+            target._check(b)
+        products += ((a, b, 1), (b, a, -1))
     return _combine(one.zero_like(), witness.d, products) == target
 
 

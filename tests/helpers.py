@@ -1,13 +1,15 @@
 """Shared test utilities: random generators, the brute-force product and
 normal-form oracles, a reference printer, the isomorphisms L(n) -> M_n(L(n))
 and M_d(L(n)) -> M_{d+n-1}(L(n)), the translation between raw term maps
-and letter tuples, and a reference reader of element text."""
+and letter tuples, and reference readers of element text and of matrix
+arrays."""
 
 from __future__ import annotations
 
 import random
 import re
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Dict, List, Optional
 
 from leavitt import (
@@ -28,7 +30,10 @@ from leavitt.cohn import (
     _code,
     _field_bits,
     _raw_one,
+    parse_element,
 )
+from leavitt.leavitt import normal_form
+from leavitt.matrix import _NOT_ROWS, _square_size
 
 
 def random_word(n: int, max_len: int, rng: random.Random) -> Word:
@@ -464,3 +469,33 @@ def reference_parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
         if mono is not None and coeff:
             _absorb(out, mono, coeff, p)
     return CohnElement._raw(spec, n, out)
+
+
+# The reader of a matrix array as the package had it before it checked and
+# collected the cells in one pass: the types of the rows, then of the cells,
+# then the shape, each over the whole array, then a scan that skips rows
+# holding d "0"s.  The body is unchanged; only _from_strings is renamed.
+
+
+def reference_from_strings(rows, zero: LeavittElement, parsed: Dict) -> MatrixElement:
+    if not (
+        isinstance(rows, (list, tuple))
+        and all(map(isinstance, rows, repeat((list, tuple))))
+        and all(map(isinstance, chain.from_iterable(rows), repeat(str)))
+    ):
+        raise ValueError(_NOT_ROWS)
+    d = _square_size(rows)
+    n, spec = zero.n, zero.spec
+    entries = {}
+    for i, row in enumerate(rows):
+        if row.count("0") == d:  # a zero row, most rows of a unit matrix
+            continue
+        for j, text in enumerate(row):
+            if text == "0":
+                continue
+            e = parsed.get(text)
+            if e is None:
+                e = parsed[text] = normal_form(parse_element(text, n, spec))
+            if not e.is_zero():
+                entries[(i, j)] = e
+    return MatrixElement._from_map(zero, d, entries)

@@ -141,6 +141,10 @@ def test_nf_reads_the_printed_form(capsys):
         ("x1^4/2", 2, "exponent must be a positive integer (at position 3)"),
         ("x[1,,2]", 2, "bad generator word in 'x[1,,2]' (at position 0)"),
         ("x\u0661", 2, "generator 'x' needs an index (at position 0)"),
+        ("x[1+2]", 2, "bad generator word in 'x[1+2]' (at position 0)"),
+        ("x[\u0661]", 2, "bad generator word in 'x[\u0661]' (at position 0)"),
+        ("y[1", 2, "bad generator word in 'y[1' (at position 0)"),
+        ("x1*y[2", 2, "bad generator word in 'y[2' (at position 3)"),
         ("\u0663*x1", 2, "unexpected character '\u0663' (at position 0)"),
         ("x[3]*y[1]", 1, "generator index 3 outside [1, 2]"),
         ("1/2*x1", 1, "division by zero in F2"),

@@ -21,6 +21,7 @@ from leavitt import (
     Word,
     cli,
     evaluate,
+    matrix,
     normal_form,
     normal_form_with_trace,
     parse,
@@ -32,6 +33,7 @@ from helpers import (
     coded_terms,
     letter_terms,
     random_element,
+    reference_from_strings,
     reference_parse_element,
     reference_str,
     stab_equal,
@@ -387,6 +389,63 @@ def test_the_expression_parser_reads_what_the_element_reader_accepts(case):
     except (ValueError, ZeroDivisionError):
         return
     assert evaluate(parse(text), SessionConfig(n=n, characteristic=spec.characteristic, mode="cohn")) == want
+
+
+class _Text(str):
+    pass
+
+
+class _ClaimsZero:
+    """Not a str, but equal to "0" by its own __eq__, so that row.count("0") counts it."""
+
+    def __eq__(self, other):
+        return other == "0"
+
+    __hash__ = None
+
+
+_CELLS = (
+    ["0"] * 6
+    + ["x[1]", "2*y[2] + 1", "x[1]*y[1] + x[2]*y[2]", "x[1]*", "x[3]"]
+    + [_Text("0"), _Text("y[1]"), 0, None, b"0", _ClaimsZero()]
+)
+
+
+@st.composite
+def matrix_arrays(draw):
+    """Arrays as a witness document might hold them, mostly well formed: rows of
+    "0"s and element texts, with now and then a cell, a row or the array of
+    another type, a ragged row, or no row at all."""
+    d = draw(st.integers(0, 3))
+    cell = st.sampled_from(_CELLS)
+    rows = []
+    for _ in range(d):
+        width = d + draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+        if draw(st.integers(0, 2)):  # a zero row, but for one cell now and then
+            row = ["0"] * width
+            if width and not draw(st.integers(0, 3)):
+                row[draw(st.integers(0, width - 1))] = draw(cell)
+        else:
+            row = [draw(cell) for _ in range(width)]
+        kind = draw(st.sampled_from(("list",) * 6 + ("tuple", "str")))
+        rows.append(tuple(row) if kind == "tuple" else "0" * width if kind == "str" else row)
+    return tuple(rows) if draw(st.integers(0, 5)) == 0 else rows
+
+
+def _read_array(reader, rows, n, spec):
+    """The matrix the reader builds, or the exception's type and message."""
+    try:
+        return reader(rows, LeavittElement.zero(n, spec), {})
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(matrix_arrays(), st.sampled_from((2, 3)), st.sampled_from((0, 5)))
+def test_matrix_reader_agrees_with_the_three_pass_reader(rows, n, p):
+    spec = FieldSpec(p)
+    got, want = _read_array(matrix._from_strings, rows, n, spec), _read_array(reference_from_strings, rows, n, spec)
+    assert type(got) is type(want) and got == want
 
 
 def _nf(*argv):

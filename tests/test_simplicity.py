@@ -324,12 +324,29 @@ _GOOD_PAIR = build_witness(Q, 2, 1).pairs[0]
 
 @pytest.mark.parametrize(
     "pairs",
-    [(_GOOD_PAIR, (1, 2)), (_GOOD_PAIR[:1],), (_GOOD_PAIR * 2,), (None,), ("ab",)],
-    ids=["ints", "one-matrix", "four-matrices", "none", "str"],
+    [(_GOOD_PAIR, (1, 2)), (_GOOD_PAIR[:1],), (_GOOD_PAIR * 2,), (None,), ("ab",),
+     ([_GOOD_PAIR[0], 1],), ([*_GOOD_PAIR, _GOOD_PAIR[0]],)],
+    ids=["ints", "one-matrix", "four-matrices", "none", "str", "list-with-int", "list-of-three"],
 )
 def test_witness_pairs_that_are_not_two_matrices_are_rejected(pairs):
     with pytest.raises(ValueError, match="^malformed witness: each pair must be two MatrixElements$"):
         verify_witness(BracketWitness(Q, 2, 1, pairs))
+
+
+class _Matrix(MatrixElement):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize(
+    "form",
+    [tuple, list, lambda pair: tuple(_Matrix._from_map(m._zero, m.d, m.entries) for m in pair)],
+    ids=["tuple", "list", "subclass"],
+)
+@pytest.mark.parametrize("spec, n, d", [(Q, 3, 2), (F5, 3, 1), (F2, 3, 2), (F3, 4, 3)], ids=str)
+def test_witness_pairs_that_are_lists_or_of_a_matrix_subclass_verify(form, spec, n, d):
+    pairs = tuple(form(pair) for pair in build_witness(spec, n, d).pairs)
+    assert verify_witness(BracketWitness(spec, n, d, pairs))
+    assert not verify_witness(BracketWitness(spec, n, d, pairs[1:]))
 
 
 def test_witness_whose_field_is_not_a_field_spec_is_rejected():
