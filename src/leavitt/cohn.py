@@ -4,12 +4,17 @@ The algebra is generated by x_1..x_n, y_1..y_n subject to y_i x_j = delta_ij.
 The products x_I y_J, indexed by pairs of words, form a free basis, so an
 element is stored as a sparse mapping from monomials to nonzero scalars.
 
-Internally that mapping is a plain dict {(X, Y): value}: X and Y are the
-word codes of I and J, and value is what `Scalar.value` would hold (a
-reduced `Fraction` over Q, an int in [1, p) over F_p), never zero.  A word
-code is an int with one field of k hex digits per letter, k the number of
-hex digits of n, and the first letter in the most significant field; the
-empty word is 0.  Letters are never 0, so a word's length is its bit
+Internally that mapping is a plain dict {(X, Y): c} of nonzero ints beside
+one int denominator `_den`: X and Y are the word codes of I and J, and the
+coefficient of x_I y_J is c / _den.  Over F_p, c is a residue in [1, p) and
+`_den` is 1.  Over Q, `_den` is at least 1 and no factor above 1 divides it
+and every c, so each element has one stored form; builders that may leave a
+common factor divide it out by `_reduced`.  No product, sum, scaling or
+normal form builds or reads a `Fraction`: one is made only where a
+coefficient leaves the element, in the `terms` view, the trace and the
+rewrite steps of a normal form.  A word code is an int with one field of k
+hex digits per letter, k the number of hex digits of n, and the first
+letter in the most significant field; the empty word is 0.  Letters are never 0, so a word's length is its bit
 length over 4k, rounded up, concatenation is a shift and an or, and codes
 order words length-lex.  The field and the alphabet size are stored once
 per element.  Public constructors check their input and encode its words;
@@ -25,9 +30,8 @@ the printed form reads back through either.
 
 A product, or a sum of products such as those landing on one matrix
 position, sums the pair products into one integer map (`_sum_products`; over
-Q each factor is first scaled to integer numerators, and each product to one
-common denominator).  Over Q it then builds one `Fraction` per distinct
-output value, which every term with that value shares.  A left term x_I y_J
+Q the map is over the lcm of the products' denominators, and its common
+factor with them is divided out once at the end).  A left term x_I y_J
 with J nonempty only scans the right terms whose K is empty or starts with
 the last letter of J, found by one lookup in an index of the right factor by
 first x-letter; a left term with J empty meets every right term.  A bracket
@@ -37,10 +41,9 @@ normal forms in the Leavitt quotient L(n), expanding each junction it meets
 by `_expand`, the one closed form.  It raises TypeError for an operand that
 is not a CohnElement.
 
-Printing formats each coefficient object once per call (keyed by id, as
-equal values often share one object) and writes each distinct word once,
-x-words and y-words in one map, growing its text from that of its longest
-prefix already written.
+Printing formats each distinct numerator once per call, reduced against the
+denominator, and writes each distinct word once, x-words and y-words in one
+map, growing its text from that of its longest prefix already written.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import re
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from .coeffs import FieldSpec, Scalar, _check_int
@@ -194,9 +197,18 @@ class Word:
         return "[" + ",".join(str(i) for i in self.letters) + "]"
 
 
-def _raw_one(spec: FieldSpec):
-    """The raw value of 1 in the field: a Fraction over Q, an int over F_p."""
-    return 1 if spec.characteristic else Fraction(1)
+def _reduced(terms: Dict, den: int) -> Tuple[Dict, int]:
+    """(terms, den) with the common factor of den and every numerator divided out."""
+    if den > 1:
+        g = gcd(den, *terms.values())
+        if g > 1:
+            return {m: c // g for m, c in terms.items()}, den // g
+    return terms, den
+
+
+def _scalar(spec: FieldSpec, c: int, den: int) -> Scalar:
+    """The Scalar c / den."""
+    return Scalar(spec, c if den == 1 else Fraction(c, den))
 
 
 def _absorb(out: Dict, m, c, p: int) -> None:
@@ -208,15 +220,6 @@ def _absorb(out: Dict, m, c, p: int) -> None:
             del out[m]
             return
     out[m] = c
-
-
-def _integral(terms: Dict):
-    """Rational coefficients as integer numerators over their lcm denominator d: (d, {m: c * d})."""
-    if len(terms) == 1:  # most products in a witness's bracket sum are of one-term entries
-        (m, c), = terms.items()
-        return c.denominator, {m: c.numerator}
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, {m: c.numerator * (d // c.denominator) for m, c in terms.items()}
 
 
 def _expand(X: int, Y: int, c, neg, n: int) -> Dict:
@@ -391,10 +394,10 @@ class Monomial:
 class _Terms(Mapping):
     """Read-only Monomial -> Scalar view over an element's raw term map, translating word codes."""
 
-    __slots__ = ("_spec", "_n", "_raw")
+    __slots__ = ("_spec", "_n", "_raw", "_den")
 
     def __init__(self, element: "CohnElement"):
-        self._spec, self._n, self._raw = element.spec, element.n, element._terms
+        self._spec, self._n, self._raw, self._den = element.spec, element.n, element._terms, element._den
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -409,7 +412,7 @@ class _Terms(Mapping):
             b = _field_bits(self._n)
             value = self._raw.get((_code(mono.xs.letters, b), _code(mono.ys.letters, b)))
             if value is not None:
-                return Scalar(self._spec, value)
+                return _scalar(self._spec, value, self._den)
         raise KeyError(mono)
 
 
@@ -418,31 +421,35 @@ _E = TypeVar("_E", bound="_Element")
 
 class _Element:
     """What the Cohn algebra and its Leavitt quotient share: a field, an
-    alphabet size and a raw term map, with the operations that do not
-    depend on the algebra's product.
+    alphabet size and a raw term map of integer numerators over one
+    denominator, with the operations that do not depend on the algebra's
+    product.
 
-    The term map never stores a zero coefficient, so equality of elements is
-    equality of the maps.  Instances are immutable: no method mutates the
+    The term map never stores a zero coefficient and the denominator is
+    reduced against it, so equality of elements is equality of the maps and
+    denominators.  Instances are immutable: no method mutates the
     map, so results may share it.  Elements of two different classes never
     mix: `_check` and `==` compare exact types.
     """
 
-    __slots__ = ("spec", "n", "_terms")
+    __slots__ = ("spec", "n", "_terms", "_den")
 
     @classmethod
-    def _raw(cls: Type[_E], spec: FieldSpec, n: int, terms: Dict) -> _E:
-        """Trusted constructor: terms is a raw map in canonical form, owned by the result."""
+    def _raw(cls: Type[_E], spec: FieldSpec, n: int, terms: Dict, den: int = 1) -> _E:
+        """Trusted constructor: terms over den is in canonical form, and terms is owned by the result."""
         e = object.__new__(cls)
         e.spec = spec
         e.n = n
         e._terms = terms
+        e._den = den
         return e
 
-    def _like(self: _E, terms: Dict) -> _E:
+    def _like(self: _E, terms: Dict, den: int = 1) -> _E:
         e = object.__new__(type(self))
         e.spec = self.spec
         e.n = self.n
         e._terms = terms
+        e._den = den
         return e
 
     @classmethod
@@ -453,7 +460,7 @@ class _Element:
     @classmethod
     def one(cls: Type[_E], n: int, spec: FieldSpec) -> _E:
         _check_alphabet(n)
-        return cls._raw(spec, n, {(0, 0): _raw_one(spec)})
+        return cls._raw(spec, n, {(0, 0): 1})
 
     def _check(self, other: "_Element") -> None:
         if type(other) is not type(self):
@@ -472,14 +479,16 @@ class _Element:
     def __add__(self: _E, other: _E) -> _E:
         self._check(other)
         p = self.spec.characteristic
-        out = dict(self._terms)
+        den = lcm(self._den, other._den)
+        ka, kb = den // self._den, den // other._den
+        out = dict(self._terms) if ka == 1 else {m: c * ka for m, c in self._terms.items()}
         for m, c in other._terms.items():
-            _absorb(out, m, c, p)
-        return self._like(out)
+            _absorb(out, m, c * kb, p)
+        return self._like(*_reduced(out, den))
 
     def __neg__(self: _E) -> _E:
         p = self.spec.characteristic
-        return self._like({m: p - c if p else -c for m, c in self._terms.items()})
+        return self._like({m: p - c if p else -c for m, c in self._terms.items()}, self._den)
 
     def __sub__(self: _E, other: _E) -> _E:
         self._check(other)
@@ -499,7 +508,8 @@ class _Element:
         p = self.spec.characteristic
         if p:
             return self._like({m: v * c % p for m, c in self._terms.items()})
-        return self._like({m: v * c for m, c in self._terms.items()})
+        num = v.numerator
+        return self._like(*_reduced({m: num * c for m, c in self._terms.items()}, self._den * v.denominator))
 
     def __mul__(self, other):
         """Multiplication by a Scalar or an int; each algebra multiplies its own elements."""
@@ -531,41 +541,36 @@ class _Element:
                 return out
             square = square * square
 
-    def _product(self, other: "_Element", commutator: bool, top: int) -> Dict:
-        """The raw map of ab, or of ab - ba when commutator is set; top as in `_sum_products`."""
-        a, b = self._terms, other._terms
-        triples = ((a, b, 1), (b, a, -1)) if commutator else ((a, b, 1),)
+    def _product(self, other: "_Element", commutator: bool, top: int) -> Tuple[Dict, int]:
+        """The raw map and denominator of ab, or of ab - ba when commutator is set; top as in `_sum_products`."""
+        triples = ((self, other, 1), (other, self, -1)) if commutator else ((self, other, 1),)
         return _Element._sum_products(triples, self.spec.characteristic, self.n, top)
 
     @staticmethod
-    def _sum_products(triples, p: int, n: int, top: int) -> Dict:
-        """The raw map of the sum of sign * a * b over triples (a, b, sign) of raw maps over
-        F_p (Q when p is 0) and {1..n}, in one integer accumulator; top n multiplies normal
-        forms in L(n), and 0 gives the Cohn product.  Over Q each distinct map is made
-        integral once, keyed by id (the caller keeps the maps alive, so no id is reused).
+    def _sum_products(triples, p: int, n: int, top: int) -> Tuple[Dict, int]:
+        """The raw map and denominator of the sum of sign * a * b over triples (a, b, sign) of
+        elements over F_p (Q when p is 0) and {1..n}, in one integer accumulator; top n
+        multiplies normal forms in L(n), and 0 gives the Cohn product.
         """
         acc: Dict = {}
         bits = _field_bits(n)
         if p:
             for a, b, sign in triples:
-                _accumulate(acc, a, b, sign, top, bits)
+                _accumulate(acc, a._terms, b._terms, sign, top, bits)
             out = {}
             for m, v in acc.items():
                 v %= p
                 if v:
                     out[m] = v
-            return out
-        # integer numerators over one common denominator, so the pair loop only multiplies and adds ints
-        integral, scaled, den = {}, [], 1
-        for a, b, sign in triples:
-            da, a = integral.get(id(a)) or integral.setdefault(id(a), _integral(a))
-            db, b = integral.get(id(b)) or integral.setdefault(id(b), _integral(b))
-            den = lcm(den, da * db)
-            scaled.append((a, b, sign, da * db))
-        for a, b, sign, dab in scaled:
-            _accumulate(acc, a, b, sign * (den // dab), top, bits)
-        value = {v: Fraction(v, den) for v in set(acc.values()) if v}
-        return {m: value[v] for m, v in acc.items() if v}
+            return out, 1
+        # each product is scaled to the lcm of the products' denominators, so the pair loop only multiplies and adds ints
+        dens = [a._den * b._den for a, b, _ in triples]
+        den = lcm(*dens)
+        for (a, b, sign), dab in zip(triples, dens):
+            _accumulate(acc, a._terms, b._terms, sign * (den // dab), top, bits)
+        if 0 in acc.values():
+            acc = {m: v for m, v in acc.items() if v}
+        return _reduced(acc, den)
 
     def trace(self) -> Scalar:
         """Sum of the coefficients of the monomials x_I y_J with I = rev(J).
@@ -575,33 +580,33 @@ class _Element:
         """
         b = _field_bits(self.n)
         total = sum(c for (X, Y), c in self._terms.items() if X == _rev(Y, b))
-        return Scalar(self.spec, total)
+        return _scalar(self.spec, total, self._den)
 
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
             and self.spec == other.spec
             and self.n == other.n
+            and self._den == other._den
             and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.spec, self.n, frozenset(self._terms.items())))
+        return hash((self.spec, self.n, self._den, frozenset(self._terms.items())))
 
     def __str__(self) -> str:
-        # the map keeps every coefficient alive, so no id is reused in one call
-        terms = self._terms
+        terms, den = self._terms, self._den
         if not terms:
             return "0"
-        rational = self.spec.characteristic == 0
         b = _field_bits(self.n)
         forms, words, chunks = {}, _WordTexts(b), []
         for (X, Y), c in sorted(terms.items(), key=_order(b)):
-            form = forms.get(id(c))
+            form = forms.get(c)
             if form is None:
-                negative = rational and c < 0
-                mag = str(-c if negative else c)
-                form = forms[id(c)] = (" - " if negative else " + ", mag, "" if mag == "1" else mag + "*")
+                # a numerator is negative only over Q; over F_p den is 1
+                g = gcd(c, den)
+                mag = str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+                form = forms[c] = (" - " if c < 0 else " + ", mag, "" if mag == "1" else mag + "*")
             sep, mag, prefix = form
             if X and Y:
                 chunks += (sep, prefix, "x[", words[X], "]*y[", words[Y], "]")
@@ -641,9 +646,12 @@ class CohnElement(_Element):
                 raise ValueError(f"coefficient field {c.spec} does not match element field {spec}")
             if not c.is_zero():
                 raw[(_code(m.xs.letters, b), _code(m.ys.letters, b))] = c.value
+        # over the lcm of the reduced denominators the numerators share no factor with it
+        den = lcm(*[v.denominator for v in raw.values()])
         self.spec = spec
         self.n = n
-        self._terms = raw
+        self._terms = {m: v.numerator * (den // v.denominator) for m, v in raw.items()}
+        self._den = den
 
     @property
     def terms(self) -> Mapping:
@@ -661,43 +669,42 @@ class CohnElement(_Element):
         degree = _degree(_field_bits(self.n))
         for m, c in self._terms.items():
             parts.setdefault(degree(m), {})[m] = c
-        return {d: self._like(t) for d, t in sorted(parts.items())}
+        return {d: self._like(*_reduced(t, self._den)) for d, t in sorted(parts.items())}
 
     def __mul__(self, other):
         if isinstance(other, (Scalar, int)):
             return super().__mul__(other)
         self._check(other)
-        return self._like(self._product(other, False, 0))
+        return self._like(*self._product(other, False, 0))
 
     def bracket(self, other: "CohnElement") -> "CohnElement":
         """The commutator ab - ba, summed in one pass over both products."""
         self._check(other)
-        return self._like(self._product(other, True, 0))
+        return self._like(*self._product(other, True, 0))
 
 
 def x_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, word.n, {(_code(word.letters, _field_bits(word.n)), 0): _raw_one(spec)})
+    return CohnElement._raw(spec, word.n, {(_code(word.letters, _field_bits(word.n)), 0): 1})
 
 
 def y_word(word: Word, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, word.n, {(0, _code(word.letters, _field_bits(word.n))): _raw_one(spec)})
+    return CohnElement._raw(spec, word.n, {(0, _code(word.letters, _field_bits(word.n))): 1})
 
 
 # a one-letter word's code is the letter itself
 def x_gen(i: int, n: int, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, n, {(_checked_letters((i,), n)[0], 0): _raw_one(spec)})
+    return CohnElement._raw(spec, n, {(_checked_letters((i,), n)[0], 0): 1})
 
 
 def y_gen(i: int, n: int, spec: FieldSpec) -> CohnElement:
-    return CohnElement._raw(spec, n, {(0, _checked_letters((i,), n)[0]): _raw_one(spec)})
+    return CohnElement._raw(spec, n, {(0, _checked_letters((i,), n)[0]): 1})
 
 
 def ideal_generator(n: int, spec: FieldSpec) -> CohnElement:
     """The element 1 - sum_i x_i y_i whose two-sided ideal defines the Leavitt quotient."""
     _check_alphabet(n)
-    one = _raw_one(spec)
-    minus_one = spec.characteristic - 1 if spec.characteristic else -one
-    terms = {(0, 0): one}
+    minus_one = spec.characteristic - 1 if spec.characteristic else -1
+    terms = {(0, 0): 1}
     for i in range(1, n + 1):
         terms[(i, i)] = minus_one
     return CohnElement._raw(spec, n, terms)
@@ -763,6 +770,7 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
         b = _field_bits(n)
         p = spec.characteristic
         out: Dict = {}
+        rational = []  # over Q, each term's (monomial, numerator, denominator), summed once all are read
         # a term: one monomial (None once its blocks multiply to zero) times num / den; want: a factor is due
         mono, num, den, want = (0, 0), -1 if tokens[0][4] == "-" else 1, 1, True
         start = 1 if tokens[0][4] in ("+", "-") else 0  # a leading sign is the first term's
@@ -797,7 +805,7 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
                 if c:
                     den *= int(c)  # the earlier factors are nonzero, so den is zero when this one is
                     if not (den % p if p else den):
-                        raise ZeroDivisionError(f"division by zero in {spec}" if p else f"Fraction({int(a)}, 0)")
+                        raise ZeroDivisionError(f"division by zero in {spec}")
                 want = False
             elif op == "*":
                 if want:
@@ -809,11 +817,17 @@ def parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
                 if want:
                     raise ValueError("dangling operator in element text")
                 if mono is not None and (num % p if p else num):
-                    _absorb(out, mono, num * pow(den, -1, p) % p if p else Fraction(num, den), p)
+                    if p:
+                        _absorb(out, mono, num * pow(den, -1, p) % p, p)
+                    else:
+                        rational.append((mono, num, den))
                 mono, num, den, want = (0, 0), -1 if op == "-" else 1, 1, True
             else:  # reported with its position below
                 raise ValueError(bad)
     except Exception as exc:
         # text that does not split into tokens is reported first, wherever the read stopped
         raise (_text_error(text) or exc) from None
-    return CohnElement._raw(spec, n, out)
+    den = lcm(*{d for _, _, d in rational})
+    for mono, num, d in rational:
+        _absorb(out, mono, num * (den // d), 0)
+    return CohnElement._raw(spec, n, *_reduced(out, den))

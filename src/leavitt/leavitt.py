@@ -19,10 +19,11 @@ pair loop told the top letter, which expands each junction as it meets it.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar, _check_int
-from .cohn import CohnElement, Word, _absorb, _Element, _expand, _junctions, _letters, _mono_text
+from .cohn import CohnElement, Word, _absorb, _Element, _expand, _junctions, _letters, _mono_text, _reduced, _scalar
 from .cohn import x_gen, x_word, y_gen
 
 __all__ = [
@@ -48,8 +49,10 @@ class RewriteStep(NamedTuple):
     right: Word
 
 
-def _reduce(terms: Dict, spec: FieldSpec, n: int, trace: Optional[List[RewriteStep]]) -> Dict:
-    """Bring a raw term map, which it takes over, to its normal form, and return it."""
+def _reduce(
+    terms: Dict, den: int, spec: FieldSpec, n: int, trace: Optional[List[RewriteStep]]
+) -> Tuple[Dict, int]:
+    """Bring a raw term map over den, which it takes over, to its normal form, and return it with its denominator."""
     p = spec.characteristic
     # expansions are junction-free, so each junction term stays in terms until popped
     for X, Y in _junctions(terms, n):
@@ -59,23 +62,23 @@ def _reduce(terms: Dict, spec: FieldSpec, n: int, trace: Optional[List[RewriteSt
         if trace is not None:
             xs, ys = _letters(X, n), _letters(Y, n)
             for t in range(1, len(xs) - len(_letters(next(iter(part))[0], n)) + 1):
-                trace.append(RewriteStep(Scalar(spec, neg), Word(xs[:-t], n), Word(ys[t:], n)))
+                trace.append(RewriteStep(_scalar(spec, neg, den), Word(xs[:-t], n), Word(ys[t:], n)))
         if len(part) > len(terms):
             terms, part = part, terms
         for m, v in part.items():
             _absorb(terms, m, v, p)
-    return terms
+    return _reduced(terms, den)
 
 
 def normal_form(c: CohnElement) -> "LeavittElement":
     """Reduce a Cohn element to its junction-free coset representative."""
-    return LeavittElement._raw(c.spec, c.n, _reduce(dict(c._terms), c.spec, c.n, None))
+    return LeavittElement._raw(c.spec, c.n, *_reduce(dict(c._terms), c._den, c.spec, c.n, None))
 
 
 def normal_form_with_trace(c: CohnElement) -> Tuple["LeavittElement", List[RewriteStep]]:
     """Normal form plus the rewrite trace witnessing membership in the ideal."""
     trace: List[RewriteStep] = []
-    return LeavittElement._raw(c.spec, c.n, _reduce(dict(c._terms), c.spec, c.n, trace)), trace
+    return LeavittElement._raw(c.spec, c.n, *_reduce(dict(c._terms), c._den, c.spec, c.n, trace)), trace
 
 
 class LeavittElement(_Element):
@@ -102,11 +105,12 @@ class LeavittElement(_Element):
         self.spec = rep.spec
         self.n = rep.n
         self._terms = rep._terms
+        self._den = rep._den
 
     @property
     def rep(self) -> CohnElement:
         """The normal-form representative, as a Cohn element."""
-        return CohnElement._raw(self.spec, self.n, self._terms)
+        return CohnElement._raw(self.spec, self.n, self._terms, self._den)
 
     @classmethod
     def x_gen(cls, i: int, n: int, spec: FieldSpec) -> "LeavittElement":
@@ -120,11 +124,11 @@ class LeavittElement(_Element):
         if isinstance(other, (Scalar, int)):
             return super().__mul__(other)
         self._check(other)
-        return self._like(self._product(other, False, self.n))
+        return self._like(*self._product(other, False, self.n))
 
     def bracket(self, other: "LeavittElement") -> "LeavittElement":
         self._check(other)
-        return self._like(self._product(other, True, self.n))
+        return self._like(*self._product(other, True, self.n))
 
     def trace(self) -> Scalar:
         """The trace functional inherited from the Cohn algebra.
@@ -168,7 +172,8 @@ def _linearly_independent(rows: List[Dict], p: int) -> bool:
     key (X, Y), which leads no other stored row.  Any total order of the
     keys serves.  A row is reduced only at its own leading monomial, so a
     row that meets no stored leader costs one step however many rows are
-    stored.
+    stored.  The rows are integer numerators whose denominators are left
+    out, as scaling a row keeps the rows' independence.
     """
     pivots: Dict = {}
     for row in rows:
@@ -190,7 +195,7 @@ def _linearly_independent(rows: List[Dict], p: int) -> bool:
                     work.pop(m, None)
         if not work:
             return False
-        inv = pow(work[piv], -1, p) if p else 1 / work[piv]
+        inv = pow(work[piv], -1, p) if p else Fraction(1, work[piv])
         pivots[piv] = {m: v * inv % p if p else v * inv for m, v in work.items()}
     return True
 

@@ -193,17 +193,17 @@ def _combine(zero, d: int, products) -> MatrixElement:
     for A, B, sign in products:
         rows: Dict[int, List] = {}
         for (k, j), e in B.entries.items():
-            rows.setdefault(k, []).append((j, e._terms))
+            rows.setdefault(k, []).append((j, e))
         for (i, k), e in A.entries.items():
-            for j, b in rows.get(k, ()):
-                cells.setdefault((i, j), []).append((e._terms, b, sign))
+            for j, f in rows.get(k, ()):
+                cells.setdefault((i, j), []).append((e, f, sign))
     p, n = zero.spec.characteristic, zero.n
     top = n if type(zero) is LeavittElement else 0
     out = {}
     for pos, triples in cells.items():
-        terms = _Element._sum_products(triples, p, n, top)
+        terms, den = _Element._sum_products(triples, p, n, top)
         if terms:
-            out[pos] = zero._like(terms)
+            out[pos] = zero._like(terms, den)
     return MatrixElement._from_map(zero, d, out)
 
 

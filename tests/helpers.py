@@ -1,8 +1,8 @@
 """Shared test utilities: random generators, the brute-force product and
 normal-form oracles, a reference printer, the isomorphisms L(n) -> M_n(L(n))
-and M_d(L(n)) -> M_{d+n-1}(L(n)), the translation between raw term maps
-and letter tuples, and reference readers of element text and of matrix
-arrays."""
+and M_d(L(n)) -> M_{d+n-1}(L(n)), the translation between elements and
+maps keyed by letter tuples, a check of the stored canonical form, and
+reference readers of element text and of matrix arrays."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import chain, repeat
+from math import gcd
 from typing import Dict, List, Optional
 
 from leavitt import (
@@ -22,16 +23,7 @@ from leavitt import (
     Scalar,
     Word,
 )
-from leavitt.cohn import (
-    _absorb,
-    _accumulate,
-    _check_alphabet,
-    _checked_letters,
-    _code,
-    _field_bits,
-    _raw_one,
-    parse_element,
-)
+from leavitt.cohn import parse_element
 from leavitt.leavitt import normal_form
 from leavitt.matrix import _NOT_ROWS, _square_size
 
@@ -135,24 +127,48 @@ def oracle_mul(a: Monomial, b: Monomial) -> Optional[Monomial]:
     return Monomial(Word(xs, n), Word(ys, n))
 
 
-def letter_terms(raw: dict, n: int) -> dict:
-    """A raw term map keyed by letter tuples, {(xs, ys): value}.
+def letter_terms(e) -> dict:
+    """The terms of a Cohn or Leavitt element keyed by letter tuples, {(xs, ys): value}.
 
-    Each key of raw is decoded by the public `terms` view, so tests read
-    raw maps without knowing how the package stores a word.
+    They are read through the public `terms` view, so each value is a
+    `Scalar.value`: a reduced `Fraction` over Q, an int in [1, p) over F_p.
     """
+    view = (e.rep if isinstance(e, LeavittElement) else e).terms
+    return {(m.xs.letters, m.ys.letters): s.value for m, s in view.items()}
+
+
+def letter_keys(raw: dict, n: int) -> dict:
+    """A raw term map over {1..n} with each key decoded to letter tuples, the values as stored."""
     view = CohnElement._raw(FieldSpec(0), n, raw).terms
     return {(m.xs.letters, m.ys.letters): v for m, v in zip(view, raw.values())}
 
 
-def coded_terms(terms: dict, n: int) -> dict:
-    """The raw term map of {(xs, ys): value}, each word encoded by the public constructor.
+def from_letter_terms(spec: FieldSpec, n: int, terms: dict) -> CohnElement:
+    """The Cohn element of {(xs, ys): value}, built by the public constructor."""
+    return CohnElement(spec, n, {
+        Monomial(Word(xs, n), Word(ys, n)): Scalar(spec, v) for (xs, ys), v in terms.items()})
 
-    The values are kept as they are, the same objects.
+
+def assert_canonical(e) -> None:
+    """Assert an element's stored form and the values its public view gives.
+
+    The map holds int word codes and nonzero int numerators over one int
+    denominator of at least 1.  Over F_p the numerators are residues in
+    [1, p) and the denominator is 1; over Q no factor above 1 divides the
+    denominator and every numerator.
     """
-    one = Scalar(FieldSpec(0), 1)
-    ones = CohnElement(FieldSpec(0), n, {Monomial(Word(xs, n), Word(ys, n)): one for xs, ys in terms})
-    return dict(zip(ones._terms, terms.values()))
+    p, den = e.spec.characteristic, e._den
+    assert type(den) is int and den >= 1
+    assert all(type(X) is int and type(Y) is int for X, Y in e._terms)
+    assert all(type(c) is int and c != 0 for c in e._terms.values())
+    if p:
+        assert den == 1 and all(0 < c < p for c in e._terms.values())
+    else:
+        assert gcd(den, *e._terms.values()) == 1
+    for (xs, ys), v in letter_terms(e).items():
+        assert all(type(i) is int for i in xs + ys)
+        assert type(v) is (int if p else Fraction) and v != 0
+        assert 0 < v < p if p else v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
 
 
 def reference_str(a) -> str:
@@ -163,7 +179,7 @@ def reference_str(a) -> str:
     is left out before a monomial, and over Q a negative one becomes " - ".
     Independent of the memoized printer of the package.
     """
-    terms = letter_terms(a._terms, a.n)
+    terms = letter_terms(a)
     if not terms:
         return "0"
     rational = a.spec.characteristic == 0
@@ -264,7 +280,7 @@ def worklist_normal_form(
     """
     spec, n = c.spec, c.n
     p = spec.characteristic
-    terms = letter_terms(c._terms, n)
+    terms = letter_terms(c)
 
     def has_junction(m) -> bool:
         xs, ys = m
@@ -300,7 +316,7 @@ def worklist_normal_form(
         for i in range(1, n):
             absorb((left + (i,), (i,) + right), neg)
     # the checked constructor rejects any junction the queue missed
-    return LeavittElement(CohnElement._raw(spec, n, coded_terms(terms, n)))
+    return LeavittElement(from_letter_terms(spec, n, terms))
 
 
 # --- stabilization oracle ------------------------------------------------------
@@ -369,7 +385,10 @@ def stab_mul(a: dict, b: dict, n: int, p: int) -> dict:
 
 # The reader of element text as the package had it before it read `findall`
 # matches in one loop: a token list, one `match` per token, then the term
-# loop.  The bodies are unchanged; only parse_element is renamed.
+# loop.  The tokenizer is unchanged.  The term loop now multiplies monomials
+# by `oracle_mul`, computes coefficients as Scalars and builds the element
+# through the public constructor, so it shares no code with the package's
+# storage; a zero denominator raises Scalar's "division by zero in <field>".
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<block>[xy]\[[0-9,\s]*\])|(?P<num>\d+)|(?P<sym>[+\-*/]))"
@@ -404,11 +423,9 @@ def reference_parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
     tokens = _tokenize_element(text)
     if not tokens:
         raise ValueError("empty element text")
-    _check_alphabet(n)
-    b = _field_bits(n)
-    p = spec.characteristic
-    one = _raw_one(spec)
-    out: Dict = {}
+    CohnElement.zero(n, spec)  # checks the alphabet size
+    one, empty = spec.one(), Word((), n)
+    out: Dict = {}  # Monomial -> nonzero Scalar, in the order the terms first appear
     idx = 0
     first = True
     while idx < len(tokens):
@@ -416,13 +433,13 @@ def reference_parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
         kind, _ = tokens[idx]
         if kind in "+-":
             if kind == "-":
-                sign = p - 1 if p else -one
+                sign = -one
             idx += 1
         elif not first:
             raise ValueError(f"expected '+' or '-' between terms, got {kind!r}")
         first = False
         # a term is one monomial, None once its blocks multiply to zero, times a coefficient
-        mono, coeff = (0, 0), sign
+        mono, coeff = Monomial(empty, empty), sign
         expect_factor = True
         while idx < len(tokens):
             kind, val = tokens[idx]
@@ -437,38 +454,28 @@ def reference_parse_element(text: str, n: int, spec: FieldSpec) -> CohnElement:
             if not expect_factor:
                 raise ValueError(f"missing '*' before {kind!r} factor")
             if kind == "int":
-                c = val % p if p else val
+                c = spec.from_int(val)
                 if idx + 2 < len(tokens) and tokens[idx + 1][0] == "/" and tokens[idx + 2][0] == "int":
-                    den = tokens[idx + 2][1]
+                    c = c / spec.from_int(tokens[idx + 2][1])
                     idx += 2
-                    if p:
-                        c = (spec.from_int(val) / spec.from_int(den)).value
-                    else:
-                        c = Fraction(val, den)
-                coeff = coeff * c % p if p else coeff * c
+                coeff = coeff * c
             elif kind in ("x", "y"):
-                code = _code(_checked_letters(val, n), b)
+                word = Word(val, n)  # checks the letters
                 if mono is not None:
-                    # a y-block, or an x-block after no y-word, concatenates: a shift and an
-                    # or, without the pair loop's per-call set-up; y_Y x_code telescopes there
-                    X, Y = mono
-                    if kind == "y":
-                        mono = (X, Y << len(val) * b | code)
-                    elif not Y:
-                        mono = (X << len(val) * b | code, 0)
-                    else:
-                        product: Dict = {}
-                        _accumulate(product, {mono: 1}, {(code, 0): 1}, 1, 0, b)
-                        mono = next(iter(product), None)
+                    mono = oracle_mul(mono, Monomial(word, empty) if kind == "x" else Monomial(empty, word))
             else:
                 raise ValueError(f"unexpected {kind!r} in element text")
             idx += 1
             expect_factor = False
         if expect_factor:
             raise ValueError("dangling operator in element text")
-        if mono is not None and coeff:
-            _absorb(out, mono, coeff, p)
-    return CohnElement._raw(spec, n, out)
+        if mono is not None and not coeff.is_zero():
+            total = out.get(mono, spec.zero()) + coeff
+            if total.is_zero():
+                del out[mono]
+            else:
+                out[mono] = total
+    return CohnElement(spec, n, out)
 
 
 # The reader of a matrix array as the package had it before it checked and

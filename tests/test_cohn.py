@@ -1,7 +1,6 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -20,9 +19,10 @@ from leavitt import (
     y_gen,
     y_word,
 )
+from leavitt import cohn as cohn_module
 from leavitt.cohn import _Element
 
-from helpers import letter_terms, oracle_mul, random_cohn, random_element, random_monomial, random_scalar
+from helpers import assert_canonical, oracle_mul, random_cohn, random_element, random_monomial, random_scalar
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -145,7 +145,7 @@ def test_multi_term_product_matches_the_oracle(p):
         bracket = a.bracket(b)
         assert bracket == ab - CohnElement(spec, n, expected_ba)
         for x in (a, b, ab, bracket):
-            _assert_canonical(x)
+            assert_canonical(x)
             rebuilt = CohnElement(spec, n, x.terms)
             assert rebuilt == x and hash(rebuilt) == hash(x)
             assert parse_element(str(x), n, spec) == x
@@ -508,7 +508,7 @@ def test_parse_element_rejects_garbage():
     [
         ("x[1] + 2*y[1,3]", 2, 0, ValueError, "letter 3 outside alphabet [1, 2]"),
         ("x[0]", 3, 5, ValueError, "letter 0 outside alphabet [1, 3]"),
-        ("1/0*x[1]", 2, 0, ZeroDivisionError, "Fraction(1, 0)"),
+        ("1/0*x[1]", 2, 0, ZeroDivisionError, "division by zero in Q"),
         ("x[1] - 2/5", 2, 5, ZeroDivisionError, "division by zero in F5"),
         ("x[]", 2, 0, ValueError, "empty generator word in 'x[]'"),
         ("x[1]*", 2, 0, ValueError, "dangling operator in element text"),
@@ -521,7 +521,7 @@ def test_parse_element_rejects_garbage():
         ("x[1]/2", 2, 0, ValueError, "unexpected '/' in element text"),
         ("1/2/3", 2, 0, ValueError, "unexpected '/' in element text"),
         ("/2*x[1]", 2, 0, ValueError, "unexpected '/' in element text"),
-        ("007/0*x[1]", 2, 0, ZeroDivisionError, "Fraction(7, 0)"),
+        ("007/0*x[1]", 2, 0, ZeroDivisionError, "division by zero in Q"),
         # text that does not split into tokens is reported before any other error
         ("* x[1] q", 2, 0, ValueError, "bad element text at position 6: ' q'"),
         ("x[3] x[,]", 2, 0, ValueError, "bad generator word in 'x[,]'"),
@@ -538,30 +538,61 @@ def test_parse_element_error_messages(text, n, p, error, message):
     assert type(info.value) is error and str(info.value) == message
 
 
-def _assert_canonical(e):
-    p = e.spec.characteristic
-    assert all(type(X) is int and type(Y) is int for X, Y in e._terms)
-    for (xs, ys), v in letter_terms(e._terms, e.n).items():
-        assert all(type(i) is int for i in xs + ys)
-        assert type(v) is (int if p else Fraction) and v != 0
-        assert 0 < v < p if p else v.denominator > 0 and gcd(v.numerator, v.denominator) == 1
-
-
 def test_builders_give_canonical_raw_terms():
     rng = random.Random(67)
     for p in (0, 2, 5, 7):
         spec = FieldSpec(p)
-        for e in (CohnElement.one(3, spec), x_gen(2, 3, spec), y_gen(3, 3, spec), ideal_generator(3, spec)):
-            _assert_canonical(e)
+        for e in (CohnElement.one(3, spec), x_gen(2, 3, spec), y_gen(3, 3, spec), ideal_generator(3, spec),
+                  x_word(Word((1, 2), 3), spec), y_word(Word((3,), 3), spec)):
+            assert_canonical(e)
+            assert e._den == 1
         for _ in range(30):
             a = random_cohn(3, spec, rng)
             k = rng.randint(-9, 9)
             scaled = a.scale(spec.from_int(k))
             for got, want in ((-a, a.scale(-spec.one())), (a * k, scaled), (k * a, scaled)):
                 assert got == want
-                _assert_canonical(got)
-            _assert_canonical(parse_element(str(a), 3, spec))
-            _assert_canonical(parse_element(f"{k}*x[1]*y[2] - 1/3*y[1] + 2", 3, spec))
+                assert_canonical(got)
+            assert_canonical(a)
+            assert_canonical(parse_element(str(a), 3, spec))
+            assert_canonical(parse_element(f"{k}*x[1]*y[2] - 1/3*y[1] + 2", 3, spec))
+
+
+def test_rational_elements_equal_by_construction_are_equal():
+    x1, y2 = x_gen(1, 3, Q), y_gen(2, 3, Q)
+    half = parse_element("1/2*x[1]", 3, Q)
+    third = parse_element("1/3*x[1] + 2/3*y[2]", 3, Q)
+    for got in (half + half, half * 2, half.scale(Scalar(Q, 2)),
+                parse_element("1/2*x[1] + 1/2*x[1]", 3, Q), parse_element("2/4*x[1] + 3/6*x[1]", 3, Q),
+                third * 3 - 2 * y2, (third - y2.scale(Scalar(Q, Fraction(2, 3)))) * 3,
+                parse_element("1/2*x[1] + 1/3*y[2]", 3, Q).degree_split()[1] * 2):
+        assert got == x1 and hash(got) == hash(x1) and str(got) == "x[1]"
+        assert_canonical(got)
+    a = parse_element("1/2*x[1]*y[2] - 2/3*y[1] + 5/6", 3, Q)
+    b = parse_element("3/4*x[2] + 1/6*x[1]*y[1,2]", 3, Q)
+    for got, want in (((a + b) - b, a), ((a - b) + b, a), (a.bracket(b) + b * a, a * b)):
+        assert got == want and hash(got) == hash(want)
+
+
+def test_rational_arithmetic_builds_no_fraction(monkeypatch):
+    a = parse_element("1/2*x[1]*y[2] - 2/3*y[1] + 5/6", 2, Q)
+    b = parse_element("3/4*x[2] + 1/6*y[2]*x[1]*y[1,2] - 1/2*x[1]*y[1]", 2, Q)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(cohn_module, "Fraction", refuse)
+    ab, bracket, total, nf = a * b, a.bracket(b), a + b, normal_form(a * b)
+    text = str(ab)
+    monkeypatch.undo()
+    want = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            m = oracle_mul(ma, mb)
+            if m is not None:
+                want[m] = want.get(m, Q.zero()) + ca * cb
+    assert ab == CohnElement(Q, 2, want) and text == str(CohnElement(Q, 2, want))
+    assert bracket == ab - b * a and total - b == a and nf == normal_form(CohnElement(Q, 2, want))
 
 
 def test_builders_keep_their_input_checks():

@@ -23,7 +23,7 @@ from leavitt import (
     y_word,
 )
 
-from helpers import letter_terms, random_cohn, random_scalar, worklist_normal_form
+from helpers import letter_keys, random_cohn, random_scalar, worklist_normal_form
 
 Q = FieldSpec(0)
 F2 = FieldSpec(2)
@@ -214,7 +214,7 @@ def test_products_expand_a_full_cancellation_in_closed_form(monkeypatch):
     calls = []
     expand = cohn_module._expand
     monkeypatch.setattr(
-        cohn_module, "_expand", lambda *args: calls.extend(letter_terms({args[:2]: None}, 3)) or expand(*args)
+        cohn_module, "_expand", lambda *args: calls.extend(letter_keys({args[:2]: None}, 3)) or expand(*args)
     )
     pairs = (
         (((1, 3, 3), ()), ((), (3, 3, 2))),
@@ -319,7 +319,7 @@ def test_independence_check_eliminates_the_normal_forms(monkeypatch):
     eliminate = leavitt_module._linearly_independent
     monkeypatch.setattr(leavitt_module, "_linearly_independent", lambda r, p: rows.extend(r) or eliminate(r, p))
     assert independence_check([Word((1,), 2), Word((2, 1), 2)])
-    assert [letter_terms(r, 2) for r in rows] == [{((1,), ()): 1}, {((2, 1), ()): 1}]
+    assert [letter_keys(r, 2) for r in rows] == [{((1,), ()): 1}, {((2, 1), ()): 1}]
 
 
 def test_independence_over_all_short_words():
@@ -353,6 +353,14 @@ def test_elimination_over_the_rationals():
     assert leavitt_module._linearly_independent([a, b], 0)
     assert not leavitt_module._linearly_independent([a, b, a_minus_4b], 0)
     assert not leavitt_module._linearly_independent([b, a_minus_4b, a], 0)
+
+
+def test_elimination_of_integer_numerators_is_exact():
+    # rational elements store integer numerators; 49 * (1/49) is not 1 in floating point
+    a = {((2,), ()): 49, ((1,), ()): 1}
+    assert not leavitt_module._linearly_independent([a, dict(a)], 0)
+    assert not leavitt_module._linearly_independent([a, {m: 3 * v for m, v in a.items()}], 0)
+    assert leavitt_module._linearly_independent([a, {((2,), ()): 49, ((1,), ()): 2}], 0)
 
 
 def test_dim_probe():

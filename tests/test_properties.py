@@ -30,7 +30,8 @@ from leavitt import (
 
 from helpers import (
     add_terms,
-    coded_terms,
+    assert_canonical,
+    from_letter_terms,
     letter_terms,
     random_element,
     reference_from_strings,
@@ -114,25 +115,21 @@ def test_fused_product_agrees_with_the_worklist_normal_form(pair):
 
 @st.composite
 def printable_elements(draw):
-    """Raw Cohn term maps over Q, F2, F7 and F_(2^61-1), with letters of one
-    to three digits (n up to 300) and a constant term among the monomials.
-    Over Q the values include +-1 and negative fractions.  The terms either
-    share one value object per value, as products build them, or hold equal
-    values in distinct objects."""
+    """Cohn elements over Q, F2, F7 and F_(2^61-1), with letters of one to
+    three digits (n up to 300) and a constant term among the monomials.
+    Over Q the values include +-1 and negative fractions.  The terms draw
+    their values from a pool of at most three, so values repeat, as in
+    products."""
     p = draw(st.sampled_from((0, 2, 7, 2**61 - 1)))
     n = draw(st.sampled_from((2, 3, 10, 300)))
     if p:
         value = st.one_of(st.integers(1, p - 1), st.sampled_from((1, p - 1)))
-        copy = lambda v: int(str(v))  # a new object, for a large int
     else:
         value = st.builds(Fraction, st.sampled_from((-7, -3, -1, 1, 2, 5)), st.sampled_from((1, 1, 2, 9)))
-        copy = lambda v: Fraction(v.numerator, v.denominator)
     pool = draw(st.lists(value, min_size=1, max_size=3))
     word = st.lists(st.integers(1, n), max_size=3).map(tuple)
     slots = draw(st.dictionaries(st.tuples(word, word), st.integers(0, len(pool) - 1), max_size=6))
-    shared = draw(st.booleans())
-    terms = {m: pool[k] if shared else copy(pool[k]) for m, k in slots.items()}
-    return CohnElement._raw(FieldSpec(p), n, coded_terms(terms, n))
+    return from_letter_terms(FieldSpec(p), n, {m: pool[k] for m, k in slots.items()})
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
@@ -141,6 +138,49 @@ def test_printing_agrees_with_the_reference_printer_and_parses_back(a):
     text = str(a)
     assert text == reference_str(a)
     assert parse_element(text, a.n, a.spec) == a
+
+
+@st.composite
+def canonical_operands(draw):
+    """Two Cohn elements with n = 2 or 3 over Q, F2 or F7, of up to four terms
+    with words of at most two letters, a scalar (zero included) and an int.
+    Over Q the coefficients have denominators 1 to 6 and the scalar one of
+    1 to 4, so that sums, scalings and products meet common factors."""
+    n = draw(st.sampled_from((2, 3)))
+    spec = FieldSpec(draw(st.sampled_from((0, 0, 2, 7))))
+    p = spec.characteristic
+    if p:
+        coeff = st.integers(1, p - 1)
+        scalar = st.integers(0, p - 1)
+    else:
+        coeff = st.builds(Fraction, st.sampled_from((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)), st.integers(1, 6))
+        scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+    word = st.lists(st.integers(1, n), max_size=2).map(tuple)
+    a, b = (from_letter_terms(spec, n, draw(st.dictionaries(st.tuples(word, word), coeff, max_size=4)))
+            for _ in range(2))
+    return a, b, Scalar(spec, draw(scalar)), draw(st.integers(-12, 12))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(canonical_operands())
+def test_every_builder_keeps_the_canonical_form(case):
+    a, b, s, k = case
+    n, spec = a.n, a.spec
+    ab = a * b
+    nf, _ = normal_form_with_trace(ab)
+    la, lb = normal_form(a), normal_form(b)
+    ma, mb = MatrixElement([[la, lb], [lb, -la]]), MatrixElement([[lb, la], [la.scale(s), lb]])
+    results = [a + b, a - b, b - a, -a, a.scale(s), a * k, k * a, ab, b * a, a.bracket(b), a**3,
+               normal_form(ab), nf, la + lb, la - lb, la * lb, la.bracket(lb), la**2, la.scale(s),
+               parse_element(str(ab), n, spec), parse_element(f"{a} - {abs(k)}/3*x[1] + 10/15", n, spec),
+               *a.degree_split().values(), *ab.degree_split().values(),
+               *(ma * mb).entries.values(), *ma.bracket(mb).entries.values(), *(ma + mb).entries.values()]
+    for e in results:
+        assert_canonical(e)
+    # elements equal by construction compare equal, with equal hashes
+    for got, want in (((a + b) - b, a), (a - a, a.zero_like()), (a.scale(s) + a.scale(-s), a.zero_like()),
+                      (normal_form(a + b) - lb, la), (sum(a.degree_split().values(), a.zero_like()), a)):
+        assert got == want and hash(got) == hash(want)
 
 
 @st.composite
@@ -187,11 +227,11 @@ def test_leavitt_arithmetic_agrees_with_the_stabilization_oracle(pair):
     a, b = pair
     n, spec = a.n, a.spec
     p = spec.characteristic
-    ta, tb = letter_terms(a._terms, n), letter_terms(b._terms, n)
+    ta, tb = letter_terms(a), letter_terms(b)
 
     def same(e, want):
         # a normal form, which the checked constructor accepts, and the right element of L(n)
-        return LeavittElement(e.rep) == e and stab_equal(letter_terms(e._terms, n), want, n, p)
+        return LeavittElement(e.rep) == e and stab_equal(letter_terms(e), want, n, p)
 
     ab, ba = stab_mul(ta, tb, n, p), stab_mul(tb, ta, n, p)
     assert same(a * b, ab)
@@ -199,7 +239,7 @@ def test_leavitt_arithmetic_agrees_with_the_stabilization_oracle(pair):
     assert same(a**2, stab_mul(ta, ta, n, p))
     # the Cohn product carries the junctions; its normal form is the same element of L(n)
     c = a.rep * b.rep
-    tc = letter_terms(c._terms, n)
+    tc = letter_terms(c)
     nf, steps = normal_form_with_trace(c)
     assert nf == normal_form(c) and same(nf, tc) and stab_equal(tc, ab, n, p)
     # each step is an ideal multiple, zero in L(n), and together they are c - nf(c)
@@ -211,7 +251,7 @@ def test_leavitt_arithmetic_agrees_with_the_stabilization_oracle(pair):
             multiple[(left + (i,), (i,) + right)] = -v % p if p else -v
         assert stab_equal(multiple, {}, n, p)
         total = add_terms(total, multiple, p)
-    assert total == add_terms(tc, letter_terms(nf._terms, n), p, -1)
+    assert total == add_terms(tc, letter_terms(nf), p, -1)
     # growing every monomial by t letters scales the Cohn trace by n^t
     for t in (1, 2):
         grown = {}
@@ -263,7 +303,7 @@ def test_matrix_products_agree_with_the_stabilization_oracle(pair):
     n, d, p = a.n, a.d, a.spec.characteristic
 
     def terms(m, i, j):
-        return letter_terms(m.entry(i, j)._terms, n)
+        return letter_terms(m.entry(i, j))
 
     def product(x, y, i, j, scale=1, out=None):
         # sum over k of x[i, k] y[k, j], each entry product made by the oracle
@@ -300,7 +340,7 @@ def power_bases(draw):
 @given(power_bases())
 def test_powers_agree_with_the_left_to_right_product_and_the_oracle(a):
     n, p = a.n, a.spec.characteristic
-    ta = letter_terms(a._terms, n)
+    ta = letter_terms(a)
     product, previous = a, None
     for k in range(1, 8):
         if k > 1:
@@ -310,8 +350,8 @@ def test_powers_agree_with_the_left_to_right_product_and_the_oracle(a):
         if 1 < k <= 5:
             # a**k = a**(k-1) * a in L(n), by the product made with no junction rewriting;
             # a Cohn power is checked through its image in L(n)
-            want = stab_mul(letter_terms(previous._terms, n), ta, n, p)
-            assert stab_equal(letter_terms(power._terms, n), want, n, p)
+            want = stab_mul(letter_terms(previous), ta, n, p)
+            assert stab_equal(letter_terms(power), want, n, p)
         previous = power
 
 
@@ -359,12 +399,13 @@ def element_texts(draw):
 
 
 def _read(reader, text, n, spec):
-    """The raw terms the reader gives, with each value's type, or the exception's type and message."""
+    """The terms the reader gives, in their stored order, with each public value's type,
+    or the exception's type and message."""
     try:
         e = reader(text, n, spec)
     except Exception as exc:
         return type(exc), str(exc)
-    return [(m, type(v), v) for m, v in e._terms.items()]
+    return [(m, type(s.value), s.value) for m, s in e.terms.items()]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
