@@ -13,20 +13,20 @@ common factor divide it out by `_reduced`.  No product, sum, scaling or
 normal form builds or reads a `Fraction`: one is made only where a
 coefficient leaves the element, in the `terms` view, the trace and the
 rewrite steps of a normal form.  A word code is an int with one field of k
-hex digits per letter, k the number of hex digits of n, and the first
-letter in the most significant field; the empty word is 0.  Letters are never 0, so a word's length is its bit
-length over 4k, rounded up, concatenation is a shift and an or, and codes
-order words length-lex.  The field and the alphabet size are stored once
-per element.  Public constructors check their input and encode its words;
-ring operations build results through the trusted `_raw`.  What does not
-depend on the product (sums, scaling, powers, the trace functional,
-equality, printing) lives in `_Element`, which CohnElement shares with the
-elements of the Leavitt quotient.  Words leave the map as letter tuples
-through the `terms` view.  Text is read in one pass: one loop over one
-pattern's `findall` matches builds each term's word codes by shifts and ors
-and its coefficient from an integer numerator and denominator.  That
-pattern's tokens, `_TOKENS`, are also those of the expression parser, so
-the printed form reads back through either.
+hex digits per letter, k the number of hex digits of n, and the first letter
+in the most significant field; the empty word is 0.  Letters are never 0, so
+a word's length is its bit length over 4k, rounded up, concatenation is a
+shift and an or, and codes order words length-lex.  The field and the
+alphabet size are stored once per element.  Public constructors check their
+input and encode its words; ring operations build results through the
+trusted `_raw`.  What does not depend on the product (sums, scaling, powers,
+the trace functional, equality, printing) lives in `_Element`, which
+CohnElement shares with the elements of the Leavitt quotient.  Words leave
+the map as letter tuples through the `terms` view.  Text is read in one
+pass: one loop over one pattern's `findall` matches builds each term's word
+codes by shifts and ors and its coefficient from an integer numerator and
+denominator.  That pattern's tokens, `_TOKENS`, are also those of the
+expression parser, so the printed form reads back through either.
 
 A product, or a sum of products such as those landing on one matrix
 position, sums the pair products into one integer map (`_sum_products`; over
@@ -397,7 +397,8 @@ class _Terms(Mapping):
     __slots__ = ("_spec", "_n", "_raw", "_den")
 
     def __init__(self, element: "CohnElement"):
-        self._spec, self._n, self._raw, self._den = element.spec, element.n, element._terms, element._den
+        self._spec, self._n = element.spec, element.n
+        self._raw, self._den = element._terms, element._den
 
     def __len__(self) -> int:
         return len(self._raw)
@@ -542,7 +543,8 @@ class _Element:
             square = square * square
 
     def _product(self, other: "_Element", commutator: bool, top: int) -> Tuple[Dict, int]:
-        """The raw map and denominator of ab, or of ab - ba when commutator is set; top as in `_sum_products`."""
+        """The raw map and denominator of ab, or of ab - ba when commutator is set; top as in
+        `_sum_products`."""
         triples = ((self, other, 1), (other, self, -1)) if commutator else ((self, other, 1),)
         return _Element._sum_products(triples, self.spec.characteristic, self.n, top)
 
@@ -563,13 +565,13 @@ class _Element:
                 if v:
                     out[m] = v
             return out, 1
-        # each product is scaled to the lcm of the products' denominators, so the pair loop only multiplies and adds ints
+        # each product is scaled to the lcm of the products' denominators, so the pair loop only handles ints
         dens = [a._den * b._den for a, b, _ in triples]
         den = lcm(*dens)
         for (a, b, sign), dab in zip(triples, dens):
             _accumulate(acc, a._terms, b._terms, sign * (den // dab), top, bits)
-        if 0 in acc.values():
-            acc = {m: v for m, v in acc.items() if v}
+        for m in [m for m, v in acc.items() if not v]:  # few cancel, so deleting beats rebuilding
+            del acc[m]
         return _reduced(acc, den)
 
     def trace(self) -> Scalar:

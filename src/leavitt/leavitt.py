@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .coeffs import FieldSpec, Scalar, _check_int
-from .cohn import CohnElement, Word, _absorb, _Element, _expand, _junctions, _letters, _mono_text, _reduced, _scalar
-from .cohn import x_gen, x_word, y_gen
+from .cohn import CohnElement, Word, _absorb, _Element, _expand, _junctions, _letters, _mono_text
+from .cohn import _reduced, _scalar, x_gen, x_word, y_gen
 
 __all__ = [
     "LeavittElement",
@@ -52,7 +52,7 @@ class RewriteStep(NamedTuple):
 def _reduce(
     terms: Dict, den: int, spec: FieldSpec, n: int, trace: Optional[List[RewriteStep]]
 ) -> Tuple[Dict, int]:
-    """Bring a raw term map over den, which it takes over, to its normal form, and return it with its denominator."""
+    """Bring a raw term map over den, which it takes over, to its normal form; return it with its denominator."""
     p = spec.characteristic
     # expansions are junction-free, so each junction term stays in terms until popped
     for X, Y in _junctions(terms, n):

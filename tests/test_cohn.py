@@ -572,6 +572,11 @@ def test_rational_elements_equal_by_construction_are_equal():
     b = parse_element("3/4*x[2] + 1/6*x[1]*y[1,2]", 3, Q)
     for got, want in (((a + b) - b, a), ((a - b) + b, a), (a.bracket(b) + b * a, a * b)):
         assert got == want and hash(got) == hash(want)
+    # the junction x3 y3 expands to 1 - x1 y1 - x2 y2, which cancels every half but the constant
+    nf = normal_form(parse_element("1/2 + 1/2*x[1]*y[1] + 1/2*x[2]*y[2] + 1/2*x[3]*y[3]", 3, Q))
+    one = LeavittElement.one(3, Q)
+    assert nf == one and hash(nf) == hash(one) and str(nf) == "1"
+    assert_canonical(nf)
 
 
 def test_rational_arithmetic_builds_no_fraction(monkeypatch):
