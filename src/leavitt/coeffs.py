@@ -50,10 +50,11 @@ def _check_int(value, name: str) -> int:
     return value
 
 
-def _check_spec(spec) -> None:
-    """TypeError unless spec is a FieldSpec."""
+def _check_spec(spec) -> "FieldSpec":
+    """The spec, if it is a FieldSpec; TypeError otherwise."""
     if not isinstance(spec, FieldSpec):
         raise TypeError(f"spec must be a FieldSpec, got {type(spec).__name__}: {spec!r}")
+    return spec
 
 
 def _check_shape(n: int, d: int) -> None:

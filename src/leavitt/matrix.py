@@ -4,7 +4,8 @@ The entry type only needs ring operations, `is_zero`, `zero_like`, and
 `trace`; both element classes in this package provide them, so the same
 matrix code serves the plain algebra and its quotient.  A sum of products
 (a product, a bracket, a witness's bracket sum) shares one accumulator per
-position: one `_sum_products` call sums every entry product landing there.
+position: one `_sum_products` call sums every entry product landing there
+and reads the entry algebra's product from the entries' class.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ class MatrixElement:
 
     def entry(self, i: int, j: int):
         """The entry at 0-based position (i, j), the zero element if none is stored."""
+        _check_int(i, "i")
+        _check_int(j, "j")
         if not (0 <= i < self.d and 0 <= j < self.d):
             raise IndexError(f"position ({i}, {j}) outside a {self.d} x {self.d} matrix")
         return self.entries.get((i, j), self._zero)
@@ -197,11 +200,9 @@ def _combine(zero, d: int, products) -> MatrixElement:
         for (i, k), e in A.entries.items():
             for j, f in rows.get(k, ()):
                 cells.setdefault((i, j), []).append((e, f, sign))
-    p, n = zero.spec.characteristic, zero.n
-    top = n if type(zero) is LeavittElement else 0
     out = {}
     for pos, triples in cells.items():
-        terms, den = _Element._sum_products(triples, p, n, top)
+        terms, den = _Element._sum_products(triples)
         if terms:
             out[pos] = zero._like(terms, den)
     return MatrixElement._from_map(zero, d, out)

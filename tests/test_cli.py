@@ -257,10 +257,11 @@ def test_config_file_integers_are_checked_in_a_fixed_order(tmp_path, monkeypatch
 
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "session.cfg"
-    cfg.write_text("alphabet = 3\n")
-    code, doc = run(capsys, "nf", "x1", "--config", str(cfg))
-    assert code == 1
-    assert "unknown config key" in doc["reason"]
+    for text, reason in (("alphabet = 3\n", "unknown config key"), ("n 3\n", "expected key=value")):
+        cfg.write_text(text)
+        code, doc = run(capsys, "nf", "x1", "--config", str(cfg))
+        assert code == 1
+        assert reason in doc["reason"]
 
 
 def test_env_var_sets_default_characteristic(capsys, monkeypatch):

@@ -197,6 +197,7 @@ def test_field_axioms_on_random_triples():
             assert a + spec.zero() == a
             assert a * spec.one() == a
             assert a + (-a) == spec.zero()
+            assert (a - b) + b == a and a - a == spec.zero()
             if not b.is_zero():
                 assert (a / b) * b == a
                 assert b * b.inv() == spec.one()
@@ -218,6 +219,21 @@ def test_canonical_form_invariants():
     assert v.value == Fraction(-2, 3)
     assert s(F5, 12).value == 2
     assert s(F5, -1).value == 4
+    assert s(F5, Fraction(12, 1)).value == 2 and type(s(F5, Fraction(-1)).value) is int
+
+
+@pytest.mark.parametrize(
+    "spec, value, message",
+    [
+        (F5, Fraction(1, 2), "residue scalar cannot be built from a non-integer fraction"),
+        (F5, 2.0, "residue scalar needs an integer, got float"),
+        (Q, 0.5, "rational scalar needs int or Fraction, got float"),
+    ],
+    ids=["F5-half", "F5-float", "Q-float"],
+)
+def test_scalar_values_outside_the_field_are_rejected(spec, value, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        Scalar(spec, value)
 
 
 def test_scalar_text_forms():

@@ -11,7 +11,9 @@ from leavitt import (
     Monomial,
     Scalar,
     Word,
+    dim_probe,
     ideal_generator,
+    matrix_from_strings,
     normal_form,
     parse_element,
     x_gen,
@@ -74,6 +76,10 @@ def test_mismatched_contexts_rejected():
         elem((1,), (), F2, 2) + elem((1,), (), F3, 2)
     with pytest.raises(ValueError):
         elem((1,), (), F2, 2) * elem((1,), (), F3, 2)
+    with pytest.raises(ValueError, match="^monomial alphabet 3 does not match element alphabet 2$"):
+        CohnElement(Q, 2, {mono((1,), (), 3): Q.one()})
+    with pytest.raises(ValueError, match="^coefficient field F2 does not match element field Q$"):
+        CohnElement(Q, 2, {mono((1,), (), 2): F2.one()})
 
 
 # --- multiplication ------------------------------------------------------
@@ -609,3 +615,34 @@ def test_builders_keep_their_input_checks():
             gen(3, 2, Q)
         with pytest.raises(ValueError, match=r"letter 0 outside alphabet \[1, 2\]"):
             gen(0, 2, Q)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        CohnElement.zero,
+        CohnElement.one,
+        LeavittElement.zero,
+        LeavittElement.one,
+        lambda n, spec: x_gen(1, n, spec),
+        lambda n, spec: y_gen(1, n, spec),
+        lambda n, spec: LeavittElement.x_gen(1, n, spec),
+        lambda n, spec: LeavittElement.y_gen(1, n, spec),
+        lambda n, spec: x_word(Word((1, 2), n), spec),
+        lambda n, spec: y_word(Word((1, 2), n), spec),
+        lambda n, spec: CohnElement(spec, n, {}),
+        ideal_generator,
+        lambda n, spec: parse_element("x[1]", n, spec),
+        lambda n, spec: matrix_from_strings([["x[1]"]], n, spec),
+        lambda n, spec: dim_probe(2, n, spec),
+    ],
+    ids=["zero", "one", "leavitt-zero", "leavitt-one", "x_gen", "y_gen", "leavitt-x_gen", "leavitt-y_gen",
+         "x_word", "y_word", "constructor", "ideal_generator", "parse_element", "matrix_from_strings",
+         "dim_probe"],
+)
+@pytest.mark.parametrize("spec, shown", [(5, "int: 5"), ("Q", "str: 'Q'")], ids=["int", "str"])
+def test_builders_reject_a_spec_that_is_not_a_field_spec_after_checking_n(build, spec, shown):
+    with pytest.raises(ValueError, match="^alphabet size must be at least 2, got 1$"):
+        build(1, spec)
+    with pytest.raises(TypeError, match=f"^spec must be a FieldSpec, got {shown}$"):
+        build(2, spec)

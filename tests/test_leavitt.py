@@ -172,6 +172,9 @@ def test_normal_form_preserves_the_grading():
 def test_direct_construction_rejects_junction_representatives():
     with pytest.raises(ValueError):
         LeavittElement(mono_elem((2,), (2,)))
+    for rep in (LeavittElement.x_gen(1, 2, Q), "x[1]"):
+        with pytest.raises(TypeError, match=f"^expected CohnElement, got {type(rep).__name__}$"):
+            LeavittElement(rep)
 
 
 # --- quotient arithmetic -----------------------------------------------------
@@ -307,6 +310,8 @@ def test_independence_examples():
 def test_independence_rejects_duplicates():
     with pytest.raises(ValueError):
         independence_check([Word((1,), 2), Word((1,), 2)])
+    with pytest.raises(ValueError, match="^words must share one alphabet$"):
+        independence_check([Word((1,), 2), Word((1,), 3)])
 
 
 def test_independence_rejects_what_is_not_a_word():

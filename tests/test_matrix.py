@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -293,6 +294,12 @@ def test_entry_accessor():
     assert m.entry(0, 1) == one.zero_like()
     for i, j in ((2, 0), (0, 2), (-1, 0)):
         with pytest.raises(IndexError):
+            m.entry(i, j)
+    for i, j, shown in ((True, True, "i must be an int, got bool: True"),
+                        (1.0, 1, "i must be an int, got float: 1.0"),
+                        ("a", 0, "i must be an int, got str: 'a'"),
+                        (1, None, "j must be an int, got NoneType: None")):
+        with pytest.raises(TypeError, match=f"^{re.escape(shown)}$"):
             m.entry(i, j)
 
 

@@ -309,9 +309,10 @@ _GOOD_DOC = witness_to_doc(build_witness(Q, 2, 1))
         lambda doc: {**doc, "pairs": [doc["pairs"][0][:1]]},
         lambda doc: {**doc, "pairs": "[]"},
         lambda doc: {k: v for k, v in doc.items() if k != "pairs"},
+        lambda doc: {**doc, "d": 2},
     ],
     ids=["list", "str-n", "float-d", "bool-char", "no-char", "int-pair", "short-pair",
-         "str-pairs", "no-pairs"],
+         "str-pairs", "no-pairs", "wrong-d"],
 )
 def test_malformed_witness_document_rejected(change):
     doc = change(json.loads(json.dumps(_GOOD_DOC)))
